@@ -12,9 +12,11 @@ Subcommands:
 Configuration comes from an optional flat ``key=value`` file (``--config``)
 with command-line flags taking precedence.  Exit codes: 0 success, 2
 validation error, 3 blow-up (a blown-up single run still writes its
-partial report).  Studies tolerate blow-ups: the affected row reports
-infinite errors.  Errors are emitted as one JSON object per line on
-stderr.  RBF_ADVECT_THREADS caps the study worker pool.
+partial report), 4 numerical failure (a singular or degenerate basis
+system or an unsolvable correction system; nothing is written).  Studies
+tolerate blow-ups and numerical failures: the affected row reports
+infinite errors and a JSON warning line.  Errors are emitted as one JSON
+object per line on stderr.  RBF_ADVECT_THREADS caps the study worker pool.
 """
 
 import argparse
@@ -37,16 +39,17 @@ from .errors import ConfigurationError, StabilityParameterError
 from .interpolation import build_nodal_basis, equidistant_centers
 from .kernels import kernel_from_name
 from .quadrature import QuadratureRule
-from .runner import RunConfig, execute_run, run_study, validate_config
+from .runner import NUMERICAL_ERRORS, RunConfig, execute_run, run_study, validate_config
 from .timestep import BlowUpError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BLOWUP = 3
+EXIT_NUMERICAL = 4
 
 
-def _fail(kind: str, message: str, code: int) -> int:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+def _fail(kind: str, message: str, code: int, **extra) -> int:
+    print(json.dumps({"error": kind, "message": message, **extra}), file=sys.stderr)
     return code
 
 
@@ -176,10 +179,14 @@ def cmd_run(args) -> int:
         validate_config(cfg)
     except (ConfigurationError, StabilityParameterError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
-    report = execute_run(cfg)
+    try:
+        report = execute_run(cfg)
+    except NUMERICAL_ERRORS as err:
+        return _fail(type(err).__name__, str(err), EXIT_NUMERICAL)
     _write_run_outputs(Path(args.out_dir), [report])
     if report.blew_up:
-        return _fail("BlowUpError", f"state blew up at t={report.blowup_time:.6g}", EXIT_BLOWUP)
+        return _fail("BlowUpError", f"state blew up at t={report.blowup_time:.6g}", EXIT_BLOWUP,
+                     step=report.blowup_step, stage=report.blowup_stage)
     return EXIT_OK
 
 
@@ -197,8 +204,11 @@ def cmd_study(args) -> int:
     _write_run_outputs(Path(args.out_dir), reports, orders)
     for r in reports:
         if r.blew_up:
-            print(json.dumps({"warning": "blow-up", "N": r.n,
-                              "t": r.blowup_time}), file=sys.stderr)
+            print(json.dumps({"warning": "blow-up", "N": r.n, "t": r.blowup_time,
+                              "step": r.blowup_step, "stage": r.blowup_stage}), file=sys.stderr)
+        elif r.failure is not None:
+            print(json.dumps({"warning": "numerical-failure", "N": r.n, "error": r.failure,
+                              "message": r.failure_message}), file=sys.stderr)
     return EXIT_OK
 
 
@@ -212,13 +222,16 @@ def cmd_conditioning(args) -> int:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
     rule = QuadratureRule(points_per_panel=args.quad_points)
     cond_rows, corr_rows = [], []
-    for n in n_values:
-        nb = build_nodal_basis(equidistant_centers(n), kern, args.m)
-        aux = build_nodal_basis(equidistant_centers(n + 2), kern, args.m)
-        cf = build_corrections(nb, aux, rule)
-        res = verify_corrections(cf, nb, rule)
-        cond_rows.append((kern.name, n, cf.cond))
-        corr_rows.append((kern.name, n, cf.cond, res.max_left, res.max_right))
+    try:
+        for n in n_values:
+            nb = build_nodal_basis(equidistant_centers(n), kern, args.m)
+            aux = build_nodal_basis(equidistant_centers(n + 2), kern, args.m)
+            cf = build_corrections(nb, aux, rule)
+            res = verify_corrections(cf, nb, rule)
+            cond_rows.append((kern.name, n, cf.cond))
+            corr_rows.append((kern.name, n, cf.cond, res.max_left, res.max_right))
+    except NUMERICAL_ERRORS as err:
+        return _fail(type(err).__name__, str(err), EXIT_NUMERICAL)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_conditioning_csv(out_dir / "conditioning.csv", cond_rows)

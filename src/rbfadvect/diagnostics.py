@@ -88,6 +88,10 @@ class RunReport:
     cond_correction: float = math.nan
     blew_up: bool = False
     blowup_time: float = math.nan
+    blowup_step: int | None = None   # index of the step that left the finite range
+    blowup_stage: int | None = None  # its SSPRK stage, 1..3
+    failure: str | None = None       # numerical error class that stopped the run
+    failure_message: str = ""
     state_max: float = math.nan
     steps: int = 0
     sigma: float | None = None

@@ -45,6 +45,23 @@ def as_points(x, dim: int) -> np.ndarray:
     return a
 
 
+def distance_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Euclidean distances |x_m - c_n| between (M, d) points and (N, d) centers.
+
+    Squared differences are accumulated one axis at a time, in axis order,
+    so the result equals sqrt(((x[:, None] - c[None]) ** 2).sum(axis=2)) bit
+    for bit without its (M, N, d) temporaries.  Longdouble points give a
+    longdouble matrix.
+    """
+    r = np.subtract.outer(points[:, 0], centers[:, 0])
+    r *= r
+    for axis in range(1, points.shape[1]):
+        diff = np.subtract.outer(points[:, axis], centers[:, axis])
+        diff *= diff
+        r += diff
+    return np.sqrt(r, out=r)
+
+
 @dataclass(frozen=True)
 class CenterSet:
     """Distinct interpolation centers with their minimal spacing.
@@ -71,8 +88,7 @@ class CenterSet:
         if pts.shape[0] == 1:
             object.__setattr__(self, "h", 1.0)
             return
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
+        dist = distance_matrix(pts, pts)
         np.fill_diagonal(dist, np.inf)
         h = float(dist.min())
         if h <= 0.0:
@@ -177,9 +193,7 @@ def assemble_vandermonde(centers: CenterSet, kernel: Kernel, poly: PolynomialSpa
     if n < q:
         raise DegenerateCentersError(f"{n} centers cannot support {q} polynomial terms")
     pts = centers.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    phi = kernel.phi(dist)
+    phi = kernel.phi(distance_matrix(pts, pts))
     if q == 0:
         return phi
     p = poly.rows(pts)
@@ -217,7 +231,7 @@ class NodalBasis:
     poly: PolynomialSpace
     domain: np.ndarray  # (d, 2)
     coef: np.ndarray
-    coef_ext: np.ndarray  # longdouble copy carrying the refined digits
+    coef_ext: np.ndarray | None  # 1D only: longdouble copy carrying the refined digits
     factorization: LUFactorization
     vandermonde_cond: float
     _dmat: dict = field(default_factory=dict, repr=False)
@@ -236,10 +250,8 @@ class NodalBasis:
         Longdouble input points propagate through the whole evaluation.
         """
         pts = as_points(points, self.dim)
-        diff = pts[:, None, :] - self.centers.points[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
         rows = np.empty((pts.shape[0], self.n + self.poly.q), dtype=pts.dtype)
-        rows[:, : self.n] = self.kernel.phi(dist)
+        rows[:, : self.n] = self.kernel.phi(distance_matrix(pts, self.centers.points))
         if self.poly.q:
             rows[:, self.n:] = self.poly.rows(pts).T
         return rows
@@ -247,10 +259,10 @@ class NodalBasis:
     def deriv_basis_rows(self, points, axis: int = 0) -> np.ndarray:
         """d/dx_axis of the raw basis at the points, shape (M, N+Q)."""
         pts = as_points(points, self.dim)
-        diff = pts[:, None, :] - self.centers.points[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
+        centers = self.centers.points
+        diff = np.subtract.outer(pts[:, axis], centers[:, axis])
         rows = np.empty((pts.shape[0], self.n + self.poly.q), dtype=pts.dtype)
-        rows[:, : self.n] = self.kernel.d1_over_r(dist) * diff[:, :, axis]
+        rows[:, : self.n] = self.kernel.d1_over_r(distance_matrix(pts, centers)) * diff
         if self.poly.q:
             rows[:, self.n:] = self.poly.deriv_rows(pts, axis).T
         return rows
@@ -259,8 +271,9 @@ class NodalBasis:
         # The cardinal coefficients reach ~1e9 with heavy cancellation for
         # the quintic kernel at N = 80: float64 basis values alone leave
         # evaluation noise ~1e-7, above the 1e-8 cardinality contract.
-        # Extended precision is affordable at 1D sizes; 2D volumes stay in
-        # float64, whose conditioning is milder.
+        # Extended precision is affordable at 1D sizes.  2D bases carry no
+        # refined coefficients (see _refine): their conditioning is milder
+        # and their volumes stay in float64.
         return self.dim == 1 and m_rows * self.n <= 1_000_000
 
     def _cardinal(self, points, deriv_axis: int | None) -> np.ndarray:
@@ -336,16 +349,29 @@ def build_nodal_basis(
     rhs = np.zeros((centers.n + poly.q, centers.n))
     rhs[: centers.n, :] = np.eye(centers.n)
     coef = solve(fact, rhs)
-    # Iterative refinement against the extended-precision system: the
-    # blocks reach condition numbers ~1e11 (quintic, N = 80) and cardinal
-    # coefficients ~1e9, so float64 assembly and solve alone cap the
-    # cardinal-property accuracy near 1e-7, above the 1e-8 contract.  The
-    # float64 factorization stays on as the preconditioner.
+    coef_ext = None
+    if centers.dim == 1:
+        coef_ext = _refine(centers, kernel, poly, fact, rhs, coef)
+        coef = np.asarray(coef_ext, dtype=float)
+    return NodalBasis(centers, kernel, poly, box, coef, coef_ext, fact, cond)
+
+
+def _refine(centers, kernel, poly, fact, rhs, coef) -> np.ndarray:
+    """Two steps of iterative refinement against the longdouble system.
+
+    In 1D the blocks reach condition numbers ~1e11 (quintic, N = 80) and
+    cardinal coefficients ~1e9, so float64 assembly and solve alone cap the
+    cardinal-property accuracy near 1e-7, above the 1e-8 contract.  The
+    float64 factorization stays on as the preconditioner.  2D bases skip
+    it: on the 20x20 grid the float64 solve alone holds the cardinal defect
+    at the centers to 1.7e-11 (cubic) and 7.4e-9 (quintic), slightly below
+    the refined 2.3e-11 and 1.0e-8, while refinement took ~1 s per basis
+    against ~0.15 s for the rest of the build.
+    """
     n, q = centers.n, poly.q
     pts_ext = centers.points.astype(np.longdouble)
-    diff = pts_ext[:, None, :] - pts_ext[None, :, :]
     v_ext = np.zeros((n + q, n + q), dtype=np.longdouble)
-    v_ext[:n, :n] = kernel.phi(np.sqrt((diff ** 2).sum(axis=2)))
+    v_ext[:n, :n] = kernel.phi(distance_matrix(pts_ext, pts_ext))
     if q:
         p_ext = poly.rows(pts_ext)
         v_ext[:n, n:] = p_ext.T
@@ -355,5 +381,4 @@ def build_nodal_basis(
     for _ in range(2):
         residual = np.asarray(rhs_ext - v_ext @ coef_ext, dtype=float)
         coef_ext = coef_ext + solve(fact, residual).astype(np.longdouble)
-    coef = np.asarray(coef_ext, dtype=float)
-    return NodalBasis(centers, kernel, poly, box, coef, coef_ext, fact, cond)
+    return coef_ext

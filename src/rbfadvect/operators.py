@@ -82,7 +82,12 @@ class UsualAdvection1D(SemidiscreteOperator):
 
 
 class FluxReconstruction1D(SemidiscreteOperator):
-    """FR-RBF: corrected flux derivative with upwind boundary fluxes."""
+    """FR-RBF: corrected flux derivative with upwind boundary fluxes.
+
+    Boundary data enters at the left end only, so the flow must run
+    rightward (a >= 0); with a < 0 both upwind flux mismatches vanish
+    identically and no data would enter at all.
+    """
 
     variant = "fr"
 
@@ -98,6 +103,8 @@ class FluxReconstruction1D(SemidiscreteOperator):
             raise ConfigurationError("FR operator requires verified correction functions")
         if g is None:
             raise ConfigurationError("FR operator needs boundary data g(t)")
+        if a < 0:
+            raise ConfigurationError(f"FR operator needs inflow at the left boundary, got a = {a}")
         self.nb = nb
         self.a = float(a)
         self.g = g

@@ -3,7 +3,8 @@
 Maps (problem, method) pairs onto the operator classes, runs the SSPRK
 integrator with recording hooks, and collects a RunReport.  Blow-ups do
 not crash a run: the report comes back flagged with the blow-up time and
-infinite errors.
+infinite errors.  In a study, a run whose basis or correction system
+cannot be built (NUMERICAL_ERRORS) is flagged the same way.
 """
 
 import math
@@ -20,7 +21,12 @@ from .diagnostics import (
     discrete_errors,
     l2_error,
 )
-from .errors import ConfigurationError
+from .errors import (
+    ConfigurationError,
+    CorrectionBuildError,
+    DegenerateCentersError,
+    SingularSystemError,
+)
 from .interpolation import build_nodal_basis, equidistant_centers, grid_centers
 from .kernels import kernel_from_name
 from .operators import (
@@ -43,6 +49,10 @@ DEFAULT_T_END = {
     "acoustic": 100.0,
     "advect2d": 0.52632,
 }
+
+# Failures of the linear algebra behind a valid config: the CLI reports them
+# with their own exit code, and a study flags the row instead of aborting.
+NUMERICAL_ERRORS = (SingularSystemError, DegenerateCentersError, CorrectionBuildError)
 
 _METHODS = {
     "advection1d": ("usual", "fr", "sat"),
@@ -190,18 +200,21 @@ def build_run(cfg: RunConfig) -> RunSetup:
     return RunSetup(cfg, problem, op, nb, rule, np.asarray(u0, dtype=float), ti)
 
 
+def _new_report(cfg: RunConfig, kernel_name: str) -> RunReport:
+    return RunReport(
+        problem=cfg.problem, method=cfg.method, kernel=kernel_name, n=cfg.n,
+        sigma=cfg.sigma, seed=cfg.seed if cfg.sigma is not None else None,
+        rng="numpy-pcg64" if cfg.sigma is not None else None,
+    )
+
+
 def execute_run(cfg: RunConfig) -> RunReport:
     """Integrate one configured run and collect all diagnostics."""
     setup = build_run(cfg)
     problem, op, nb, rule = setup.problem, setup.op, setup.nb, setup.rule
-    kern_name = nb.kernel.name
 
-    report = RunReport(
-        problem=cfg.problem, method=cfg.method, kernel=kern_name, n=cfg.n,
-        cond_vandermonde=nb.vandermonde_cond,
-        sigma=cfg.sigma, seed=cfg.seed if cfg.sigma is not None else None,
-        rng="numpy-pcg64" if cfg.sigma is not None else None,
-    )
+    report = _new_report(cfg, nb.kernel.name)
+    report.cond_vandermonde = nb.vandermonde_cond
     if hasattr(op, "cond_correction"):
         report.cond_correction = op.cond_correction
 
@@ -218,6 +231,8 @@ def execute_run(cfg: RunConfig) -> RunReport:
     except BlowUpError as err:
         report.blew_up = True
         report.blowup_time = err.t
+        report.blowup_step = err.step
+        report.blowup_stage = err.stage
         report.steps = err.step or 0
         report.error_l1 = report.error_linf = report.error_l2 = math.inf
 
@@ -242,20 +257,33 @@ def execute_run(cfg: RunConfig) -> RunReport:
     return report
 
 
+def _study_leg(cfg: RunConfig) -> RunReport:
+    """execute_run, with a numerical failure flagged like a blow-up."""
+    try:
+        return execute_run(cfg)
+    except NUMERICAL_ERRORS as err:
+        report = _new_report(cfg, kernel_from_name(cfg.kernel).name)
+        report.failure = type(err).__name__
+        report.failure_message = str(err)
+        report.error_l1 = report.error_linf = report.error_l2 = math.inf
+        return report
+
+
 def run_study(cfg: RunConfig, n_values, workers: int = 1):
     """Execute one config across several N, returning reports plus orders.
 
-    One blow-up does not abort the study; orders over any non-finite
-    column come back as nan.
+    Neither a blow-up nor a numerical failure aborts the study: the row
+    carries infinite errors, and orders over any non-finite column come
+    back as nan.
     """
     configs = [replace(cfg, n=int(n)) for n in n_values]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(execute_run, configs))
+            reports = list(pool.map(_study_leg, configs))
     else:
-        reports = [execute_run(c) for c in configs]
+        reports = [_study_leg(c) for c in configs]
     orders = {}
     for key in ("error_l1", "error_linf"):
         errs = [getattr(r, key) for r in reports]

@@ -73,7 +73,7 @@ def test_criterion_1_inflow_bump_convergence():
     reason="A is exactly rank-deficient for m >= 1 (its integral rows sum to the "
     "difference of the boundary rows by partition of unity), so cond(A) is a "
     "rounding-noise lottery; this build's draws land 1e13-1e14 for the cubic "
-    "kernel where the tabulated draws were 4e10-5e12.  See the decisions ledger.",
+    "kernel where the tabulated draws were 4e10-5e12.  See the acceptance notes in README.md.",
 )
 def test_criterion_2_fr_conditioning():
     start = time.time()
@@ -163,7 +163,7 @@ def test_criterion_5_long_time_behavior():
     "under one sample per wavelength, so the tabulated N=10 error (11% of the "
     "solution amplitude) is unreachable from aliased data; no smooth profile "
     "reproduces the full table either (this discretization converges at order "
-    "~3.2 for smooth data vs the tabulated 2.7).  See the decisions ledger.",
+    "~3.2 for smooth data vs the tabulated 2.7).  See the acceptance notes in README.md.",
 )
 def test_criterion_6_variable_coefficients():
     reports, orders = run_study(
@@ -200,7 +200,7 @@ def test_criterion_7_acoustic_long_time():
     reason="The quintic runs land ~35% below the tabulated error-vector norms "
     "(factor 1.57 vs the allowed 1.5) while the cubic runs match them to 0.4%/2%; "
     "the quintic values instead match the table's multiquadric column to 0.1-3%. "
-    "See the decisions ledger.",
+    "See the acceptance notes in README.md.",
 )
 def test_criterion_8_advection_2d():
     start = time.time()

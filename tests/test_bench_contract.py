@@ -1,0 +1,64 @@
+"""The benchmark under benchmarks/ wraps rbfadvect callables by name.
+
+Its tracer raises KeyError (patch_attr) or LookupError (patch_function)
+for any wrapped name that went missing, so a renamed function or method
+would crash every benchmark run before its first measurement.  These
+tests install both wrapping plans, run one short configuration under each
+and check the counters the benchmark relies on.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from rbfadvect import runner
+from rbfadvect.runner import RunConfig
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+CONFIG = RunConfig(problem="inflow_bump", method="sat", kernel="cubic", n=10, t_end=0.01)
+
+
+@pytest.fixture()
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import layers
+    import tracer
+
+    return layers, tracer
+
+
+def _traced_run(bench_modules, plan: str):
+    layers, tracer = bench_modules
+    recorder = tracer.Tracer()
+    try:
+        getattr(layers, plan)(recorder)
+        report = runner.execute_run(CONFIG)
+    finally:
+        recorder.restore()
+    return report, recorder.take()
+
+
+def test_probes_bind_and_count_steps(bench_modules):
+    report, spans = _traced_run(bench_modules, "install_probes")
+    assert report.steps > 0
+    assert spans.counts["timestep.steps"] == report.steps
+    assert spans.calls("runner.build_run") == 1
+    assert spans.calls("timestep.integrate") == 1
+
+
+def test_trace_binds_every_layer(bench_modules):
+    report, spans = _traced_run(bench_modules, "install_trace")
+    steps = spans.counts["timestep.steps"]
+    assert steps == report.steps > 0
+    assert spans.calls("operators.rhs") == 3 * steps
+    assert spans.calls("interpolation.build_nodal_basis") == 1
+    assert spans.counts["interpolation.eval.rows"] > 0
+
+
+def test_restore_unwraps_everything(bench_modules):
+    from rbfadvect import interpolation
+
+    original = vars(interpolation.NodalBasis)["basis_rows"]
+    _traced_run(bench_modules, "install_trace")
+    assert vars(interpolation.NodalBasis)["basis_rows"] is original
+    assert not hasattr(runner.execute_run, "__wrapped__")

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from rbfadvect.cli import main, read_config_file
+from rbfadvect.runner import RunConfig, build_run, execute_run
+from rbfadvect.timestep import BlowUpError, integrate
 
 
 def run_cli(*argv):
@@ -133,3 +137,62 @@ def test_fr_pathology_run_exits_with_blowup_or_huge_error(tmp_path):
     row = (out / "errors.csv").read_text().splitlines()[1]
     l1_field = row.split(",")[4]
     assert l1_field == "inf" or float(l1_field) > 10.0
+
+
+BLOWUP_ARGS = ("--problem", "inflow_bump", "--method", "usual", "--kernel", "cubic",
+               "--N", "10", "--t-end", "100", "--cfl", "5")
+
+
+def test_blow_up_step_and_stage_reach_report_and_json(tmp_path, capsys):
+    cfg = RunConfig(problem="inflow_bump", method="usual", kernel="cubic", n=10,
+                    t_end=100.0, cfl=5.0)
+    setup = build_run(cfg)
+    with pytest.raises(BlowUpError) as raised:
+        integrate(setup.op, setup.u0, setup.ti)
+    report = execute_run(cfg)
+    assert (report.blowup_step, report.blowup_stage) == (raised.value.step, raised.value.stage)
+    assert report.steps == report.blowup_step
+
+    assert run_cli("run", *BLOWUP_ARGS, "--out-dir", str(tmp_path / "run")) == 3
+    line = json.loads(capsys.readouterr().err.strip())
+    assert (line["step"], line["stage"]) == (report.blowup_step, report.blowup_stage)
+    assert set(line) >= {"error", "message"}
+
+    assert run_cli("study", *BLOWUP_ARGS, "--out-dir", str(tmp_path / "study")) == 0
+    warning = json.loads(capsys.readouterr().err.strip())
+    assert warning["warning"] == "blow-up" and warning["N"] == 10
+    assert (warning["step"], warning["stage"]) == (report.blowup_step, report.blowup_stage)
+    assert warning["t"] == report.blowup_time
+
+
+# A Gaussian this flat makes the Vandermonde system numerically singular.
+SINGULAR_ARGS = ("--problem", "inflow_bump", "--method", "sat",
+                 "--kernel", "gaussian epsilon=0.5", "--t-end", "0.1")
+
+
+def test_numerical_failure_exit_code_on_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", *SINGULAR_ARGS, "--N", "40", "--out-dir", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "SingularSystemError"
+    assert "singular" in err["message"]
+    assert not out.exists()
+
+
+def test_numerical_failure_flags_study_row(tmp_path, capsys):
+    out = tmp_path / "study"
+    code = run_cli("study", *SINGULAR_ARGS, "--N", "10", "--N", "20", "--out-dir", str(out))
+    assert code == 0
+    warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(w["warning"], w["N"], w["error"]) for w in warnings] == [
+        ("numerical-failure", n, "SingularSystemError") for n in (10, 20)]
+    rows = (out / "errors.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[3:7] for r in rows[:2]] == [[n, "inf", "inf", "inf"] for n in ("10", "20")]
+    assert rows[2].split(",")[3] == "avg_order"
+
+
+def test_numerical_failure_exit_code_on_conditioning(tmp_path, capsys):
+    code = run_cli("conditioning", "--kernel", "gaussian epsilon=0.5", "--N", "10",
+                   "--out-dir", str(tmp_path / "cond"))
+    assert code == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "SingularSystemError"

@@ -180,3 +180,50 @@ def test_2d_basis_cardinality_and_derivatives():
 def test_vandermonde_condition_recorded(cubic_basis_10):
     assert np.isfinite(cubic_basis_10.vandermonde_cond)
     assert cubic_basis_10.vandermonde_cond >= 1.0
+
+
+def _broadcast_rows(nb, pts, axis=None):
+    """Reference raw basis built from the full (M, N, d) difference array."""
+    diff = pts[:, None, :] - nb.centers.points[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    if axis is None:
+        kernel_part, poly_part = nb.kernel.phi(dist), nb.poly.rows(pts)
+    else:
+        kernel_part = nb.kernel.d1_over_r(dist) * diff[:, :, axis]
+        poly_part = nb.poly.deriv_rows(pts, axis)
+    return np.concatenate([kernel_part, poly_part.T], axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_1d_rows_equal_broadcast_formula(quintic_basis_20, rng, dtype):
+    nb = quintic_basis_20
+    pts = rng.uniform(0, 1, (57, 1)).astype(dtype)
+    for axis in (None, 0):
+        got = nb.basis_rows(pts) if axis is None else nb.deriv_basis_rows(pts, axis)
+        want = _broadcast_rows(nb, pts, axis)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def test_2d_rows_equal_broadcast_formula(rng):
+    nb = build_nodal_basis(grid_centers(6, 7), cubic(), 2, domain=((0, 1), (0, 1)))
+    pts = rng.uniform(0, 1, (83, 2))
+    assert np.array_equal(nb.basis_rows(pts), _broadcast_rows(nb, pts))
+    for axis in (0, 1):
+        assert np.array_equal(nb.deriv_basis_rows(pts, axis), _broadcast_rows(nb, pts, axis))
+
+
+@pytest.mark.parametrize("kern,m", PAPER_CONFIGS)
+def test_2d_cardinality_on_20x20_grid(kern, m):
+    nb = build_nodal_basis(grid_centers(20, 20), kern, m, domain=((0, 1), (0, 1)))
+    assert nb.coef_ext is None  # 2D bases use the float64 solve
+    assert np.abs(nb.psi_rows(nb.centers.points) - np.eye(400)).max() <= 1e-7
+
+
+def test_1d_basis_carries_refined_coefficients(quintic_basis_20):
+    nb = quintic_basis_20
+    assert nb.coef_ext is not None and nb.coef_ext.dtype == np.longdouble
+    assert nb.coef_ext.shape == nb.coef.shape
+    np.testing.assert_array_equal(nb.coef, np.asarray(nb.coef_ext, dtype=float))
+    # The longdouble copy holds digits beyond float64: refinement ran.
+    assert not np.array_equal(nb.coef_ext, nb.coef.astype(np.longdouble))

@@ -73,6 +73,12 @@ class TestFluxReconstruction:
         with pytest.raises(ConfigurationError):
             FluxReconstruction1D(cubic_basis_10, 1.0, g=lambda t: 0.0, corrections=cf)
 
+    def test_rejects_leftward_flow(self, cubic_basis_10, rule):
+        # With a < 0 the left datum would be ignored by the upwind flux and
+        # the right mismatch is identically zero: no boundary data enters.
+        with pytest.raises(ConfigurationError):
+            build_fr_operator(cubic_basis_10, -1.0, g=lambda t: 0.0, rule=rule)
+
     def test_matched_constant_state_is_stationary(self, cubic_basis_10, rule):
         op = build_fr_operator(cubic_basis_10, 1.0, g=lambda t: 2.0, rule=rule)
         out = op.rhs(np.full(10, 2.0), 0.0)
