@@ -16,13 +16,12 @@ partial report), 4 numerical failure (a singular or degenerate basis
 system or an unsolvable correction system; nothing is written).  Studies
 tolerate blow-ups and numerical failures: the affected row reports
 infinite errors and a JSON warning line.  Errors are emitted as one JSON
-object per line on stderr.  RBF_ADVECT_THREADS caps the study worker pool.
+object per line on stderr.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -66,7 +65,7 @@ def read_config_file(path) -> dict:
         values[key] = val
     return values
 
-_INT_KEYS = {"N", "m", "seed", "quad_points", "quad_panels", "record_stride"}
+_INT_KEYS = {"N", "m", "seed", "quad_points", "record_stride"}
 _FLOAT_KEYS = {"cfl", "t_end", "tau", "tau_r", "R0", "R1", "sigma", "alpha_skew", "tsvd_rtol"}
 
 
@@ -123,7 +122,7 @@ _CONFIG_ALIASES = {
     "N": "n", "m": "m", "cfl": "cfl", "t_end": "t_end", "tau": "tau_l",
     "tau_r": "tau_r", "R0": "r0", "R1": "r1", "alpha_skew": "alpha_skew",
     "sigma": "sigma", "seed": "seed", "quad_points": "quad_points",
-    "quad_panels": "quad_panels", "record_stride": "record_stride",
+    "record_stride": "record_stride",
     "tsvd_rtol": "tsvd_rtol",
 }
 
@@ -199,8 +198,7 @@ def cmd_study(args) -> int:
             validate_config(replace(cfg, n=n))
     except (ConfigurationError, StabilityParameterError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
-    workers = max(1, int(os.environ.get("RBF_ADVECT_THREADS", "1")))
-    reports, orders = run_study(cfg, n_values, workers=workers)
+    reports, orders = run_study(cfg, n_values)
     _write_run_outputs(Path(args.out_dir), reports, orders)
     for r in reports:
         if r.blew_up:
@@ -218,6 +216,8 @@ def cmd_conditioning(args) -> int:
         n_values = args.n_values or [10, 20, 40, 80]
         if args.m is not None and args.m < kern.cpd_order:
             raise ConfigurationError("m is below the kernel CPD order")
+        if min(n_values) < 2:
+            raise ConfigurationError("need at least N = 2")
     except (ConfigurationError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
     rule = QuadratureRule(points_per_panel=args.quad_points)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .interpolation import NodalBasis
+from .operators import BoundaryRecord, boundary_mismatches, integral_of_rhs, numerical_fluxes
 from .quadrature import QuadratureRule, quadrature_grid
 
 
@@ -143,15 +144,15 @@ class EnergyRecorder:
 
 
 class ConservationRecorder:
-    """Hook appending (t, |int L(u) dx - (f_L - f_R)|) for FR operators."""
+    """Hook appending (t, |int L(u) dx - (f_L - f_R)|) for an FR operator's boundary record."""
 
-    def __init__(self, op):
-        self.op = op
+    def __init__(self, boundary: BoundaryRecord):
+        self.boundary = boundary
         self.series: list[tuple[float, float]] = []
 
     def __call__(self, t: float, u: np.ndarray):
-        f_l, f_r, _, _ = self.op.numerical_fluxes(u, t)
-        residual = abs(self.op.integral_of_rhs(u, t) - (f_l - f_r))
+        f_l, f_r, _, _ = numerical_fluxes(self.boundary, u, t)
+        residual = abs(integral_of_rhs(self.boundary, u, t) - (f_l - f_r))
         self.series.append((t, residual))
 
 
@@ -183,15 +184,15 @@ class SatRateChecker:
         self.series: list[tuple[float, float]] = []
 
     def __call__(self, t: float, u: np.ndarray):
-        op = self.op
-        a = op.a
+        bnd = self.op.boundary
+        a = bnd.a
         vals = self.psi @ u
         dvals = self.dpsi @ u
         volume = -2.0 * a * float(self.weights @ (vals * dvals))
-        u_l, u_r, g_l, g_r = op.boundary_mismatches(u, t)
-        rate = volume + 2.0 * op.tau_l * max(a, 0.0) * u_l * (u_l - g_l)
-        rate += 2.0 * op.tau_r * min(a, 0.0) * u_r * (u_r - g_r)
-        bound = -op.tau_l ** 2 * max(a, 0.0) * g_l ** 2 / (1.0 + 2.0 * op.tau_l)
+        u_l, u_r, g_l, g_r = boundary_mismatches(bnd, u, t)
+        rate = volume + 2.0 * bnd.tau_l * max(a, 0.0) * u_l * (u_l - g_l)
+        rate += 2.0 * bnd.tau_r * min(a, 0.0) * u_r * (u_r - g_r)
+        bound = -bnd.tau_l ** 2 * max(a, 0.0) * g_l ** 2 / (1.0 + 2.0 * bnd.tau_l)
         self.series.append((t, rate - bound))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateCentersError, DimensionError, SingularSystemError
 from .kernels import Kernel
-from .linalg import LUFactorization, condition_number, lu_factor, solve
+from .linalg import condition_number, lu_factor, solve
 
 UNISOLVENCY_RTOL = 1e-10
 
@@ -210,14 +210,6 @@ def assemble_vandermonde(centers: CenterSet, kernel: Kernel, poly: PolynomialSpa
 
 
 @dataclass
-class Interpolant:
-    """Expansion coefficients of one augmented RBF interpolant."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass
 class NodalBasis:
     """Cardinal basis psi_k(x_n) = delta_kn over a center set.
 
@@ -232,7 +224,6 @@ class NodalBasis:
     domain: np.ndarray  # (d, 2)
     coef: np.ndarray
     coef_ext: np.ndarray | None  # 1D only: longdouble copy carrying the refined digits
-    factorization: LUFactorization
     vandermonde_cond: float
     _dmat: dict = field(default_factory=dict, repr=False)
 
@@ -311,11 +302,6 @@ class NodalBasis:
             self._dmat[axis] = self.psi_deriv_rows(self.centers.points, axis)
         return self._dmat[axis]
 
-    def fit(self, values) -> Interpolant:
-        """Expansion coefficients of the interpolant of the nodal values."""
-        full = self.coef @ np.asarray(values, dtype=float)
-        return Interpolant(alpha=full[: self.n], beta=full[self.n:])
-
 
 def build_nodal_basis(
     centers: CenterSet,
@@ -353,7 +339,7 @@ def build_nodal_basis(
     if centers.dim == 1:
         coef_ext = _refine(centers, kernel, poly, fact, rhs, coef)
         coef = np.asarray(coef_ext, dtype=float)
-    return NodalBasis(centers, kernel, poly, box, coef, coef_ext, fact, cond)
+    return NodalBasis(centers, kernel, poly, box, coef, coef_ext, cond)
 
 
 def _refine(centers, kernel, poly, fact, rhs, coef) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Radial kernels with analytic first and second radial derivatives.
+"""Radial kernels with analytic first radial derivatives.
 
 The polyharmonic splines r^(2k-1) and r^(2k) log(r) are the workhorses
 here: they carry no shape parameter and are conditionally positive
@@ -98,27 +98,6 @@ class Kernel:
         else:
             e2 = self.epsilon ** 2
             out = e2 * r / np.sqrt(e2 * r ** 2 + 1.0)
-        return _maybe_scalar(out, r)
-
-    def phi_d2(self, r):
-        """Second radial derivative phi''(r)."""
-        r = _radius(r)
-        if self.family == "phs_odd":
-            c = (2 * self.k - 1) * (2 * self.k - 2)
-            if c == 0:  # k = 1: phi is linear in r
-                out = np.zeros_like(r)
-            else:
-                out = c * r ** (2 * self.k - 3)
-        elif self.family == "phs_even":
-            safe = np.where(r > 0, r, 1.0)
-            val = safe ** (2 * self.k - 2) * (2 * self.k * (2 * self.k - 1) * np.log(safe) + 4 * self.k - 1.0)
-            out = np.where(r > 0, val, 0.0)
-        elif self.family == "gaussian":
-            e2 = self.epsilon ** 2
-            out = (4.0 * e2 ** 2 * r ** 2 - 2.0 * e2) * np.exp(-e2 * r ** 2)
-        else:
-            e2 = self.epsilon ** 2
-            out = e2 / (e2 * r ** 2 + 1.0) ** 1.5
         return _maybe_scalar(out, r)
 
     def d1_over_r(self, r):

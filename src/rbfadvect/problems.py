@@ -37,7 +37,6 @@ class ProblemSpec:
     boundary_left: Callable | None = None
     boundary_right: Callable | None = None
     exact: Callable | None = None
-    periodic: bool = False
     n_fields: int = 1
 
 
@@ -112,7 +111,6 @@ def periodic_sin2() -> ProblemSpec:
         initial=initial,
         boundary=g,
         exact=exact,
-        periodic=True,
     )
 
 

@@ -189,23 +189,12 @@ def _union_grid(nb: NodalBasis, other: NodalBasis, rule: QuadratureRule):
     return quadrature_grid_1d(nb, rule, extra_breaks=extra)
 
 
-def inner_product_deriv(
-    nb: NodalBasis, k: int, other: NodalBasis, j: int, rule: QuadratureRule
-) -> float:
-    """<psi_k, tilde-psi_j'> = int psi_k(x) tilde-psi_j'(x) dx (1D).
-
-    Panel boundaries include every center of both bases.
-    """
-    pts, w = _union_grid(nb, other, rule)
-    vals_k = nb.psi_rows(pts)[:, k]
-    dvals_j = other.psi_deriv_rows(pts)[:, j]
-    return float(w @ (vals_k * dvals_j))
-
-
 def inner_product_matrix(
     nb: NodalBasis, other: NodalBasis, rule: QuadratureRule, extended: bool = True
 ) -> np.ndarray:
-    """All <psi_k, tilde-psi_j'> at once, shape (N, N_other).
+    """All <psi_k, tilde-psi_j'> = int psi_k(x) tilde-psi_j'(x) dx (1D), shape (N, N_other).
+
+    Panel boundaries include every center of both bases.
 
     ``extended=False`` evaluates the cardinal functions with plain float64
     contractions.  The correction-function system is assembled that way:

@@ -1,10 +1,11 @@
 """Run orchestration: config validation, operator assembly, execution.
 
-Maps (problem, method) pairs onto the operator classes, runs the SSPRK
-integrator with recording hooks, and collects a RunReport.  Blow-ups do
-not crash a run: the report comes back flagged with the blow-up time and
-infinite errors.  In a study, a run whose basis or correction system
-cannot be built (NUMERICAL_ERRORS) is flagged the same way.
+Maps (problem, method) pairs onto the operator assembly functions, runs
+the SSPRK integrator with recording hooks, and collects a RunReport.
+Blow-ups do not crash a run: the report comes back flagged with the
+blow-up time and infinite errors.  In a study, a run whose basis or
+correction system cannot be built (NUMERICAL_ERRORS) is flagged the same
+way.
 """
 
 import math
@@ -30,13 +31,13 @@ from .errors import (
 from .interpolation import build_nodal_basis, equidistant_centers, grid_centers
 from .kernels import kernel_from_name
 from .operators import (
-    SatAcousticSystem,
-    SatAdvection1D,
-    SatAdvection2D,
-    SatVariableCoeff1D,
-    UsualAdvection1D,
-    UsualAdvection2D,
     build_fr_operator,
+    sat_1d,
+    sat_2d,
+    sat_acoustic,
+    sat_varcoeff_1d,
+    usual_1d,
+    usual_2d,
 )
 from .problems import ScatterConfig, problem_by_name, scattered_centers
 from .quadrature import QuadratureRule
@@ -81,7 +82,6 @@ class RunConfig:
     sigma: float | None = None
     seed: int = 0
     quad_points: int = 10
-    quad_panels: int = 1
     record_stride: int = 10
     tsvd_rtol: float | None = None
 
@@ -105,6 +105,12 @@ def validate_config(cfg: RunConfig):
         raise ConfigurationError(f"tau_L = {cfg.tau_l} violates the stability bound tau_L < -1/2")
     if problem.kind == "system1d" and not (0 < cfg.r0 < 1 and 0 < cfg.r1 < 1):
         raise ConfigurationError("R0 and R1 must lie in (0, 1)")
+    for name in ("cfl", "t_end", "sigma", "alpha_skew"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    if cfg.cfl is not None and cfg.cfl <= 0:
+        raise ConfigurationError("cfl must be positive")
     if cfg.sigma is not None and cfg.sigma <= 0:
         raise ConfigurationError("sigma must be positive")
     if cfg.sigma is not None and problem.kind != "advection1d":
@@ -144,7 +150,7 @@ class RunSetup:
 
 def build_run(cfg: RunConfig) -> RunSetup:
     problem, kern = validate_config(cfg)
-    rule = QuadratureRule(cfg.quad_points, cfg.quad_panels)
+    rule = QuadratureRule(cfg.quad_points)
     degree = cfg.m
 
     if problem.kind == "advection2d":
@@ -166,34 +172,28 @@ def build_run(cfg: RunConfig) -> RunSetup:
     if problem.kind == "advection1d":
         a = problem.velocity
         if cfg.method == "usual":
-            op = UsualAdvection1D(nb, a, g=problem.boundary)
+            op = usual_1d(nb, a, g=problem.boundary)
         elif cfg.method == "fr":
             op = build_fr_operator(nb, a, g=problem.boundary, rule=rule, tsvd_rtol=cfg.tsvd_rtol)
         else:
-            op = SatAdvection1D(
-                nb, a, g=problem.boundary, rule=rule, tau_l=cfg.tau_l, tau_r=cfg.tau_r,
-            )
+            op = sat_1d(nb, a, g=problem.boundary, rule=rule, tau_l=cfg.tau_l, tau_r=cfg.tau_r)
         u0 = problem.initial(centers.points[:, 0])
     elif problem.kind == "varcoeff1d":
-        op = SatVariableCoeff1D(
+        op = sat_varcoeff_1d(
             nb, problem.velocity_fn, problem.velocity_prime_fn, problem.boundary,
             rule=rule, tau_l=cfg.tau_l, alpha=cfg.alpha_skew,
         )
         u0 = problem.initial(centers.points[:, 0])
     elif problem.kind == "system1d":
-        op = SatAcousticSystem(
+        op = sat_acoustic(
             nb, problem.wave_speed, problem.boundary_left, problem.boundary_right,
             rule=rule, r0=cfg.r0, r1=cfg.r1,
         )
         zero = problem.initial(centers.points[:, 0])
         u0 = np.concatenate([zero, zero])
     else:
-        x, y = centers.points[:, 0], centers.points[:, 1]
-        if cfg.method == "usual":
-            op = UsualAdvection2D(nb, problem.velocity)
-        else:
-            op = SatAdvection2D(nb, problem.velocity, rule=rule)
-        u0 = problem.initial(x, y)
+        op = (usual_2d if cfg.method == "usual" else sat_2d)(nb, problem.velocity)
+        u0 = problem.initial(centers.points[:, 0], centers.points[:, 1])
 
     t_end = cfg.t_end if cfg.t_end is not None else DEFAULT_T_END[cfg.problem]
     ti = TimeIntegration(t_end=t_end, cfl=_default_cfl(cfg, problem.kind), record_stride=cfg.record_stride)
@@ -215,14 +215,13 @@ def execute_run(cfg: RunConfig) -> RunReport:
 
     report = _new_report(cfg, nb.kernel.name)
     report.cond_vandermonde = nb.vandermonde_cond
-    if hasattr(op, "cond_correction"):
-        report.cond_correction = op.cond_correction
+    report.cond_correction = op.cond_correction
 
     energy = EnergyRecorder(nb, rule, n_fields=problem.n_fields)
     maxabs = MaxAbsRecorder()
     hooks = [energy, maxabs]
     if op.variant == "fr":
-        hooks.append(ConservationRecorder(op))
+        hooks.append(ConservationRecorder(op.boundary))
 
     u_final = None
     try:
@@ -269,21 +268,14 @@ def _study_leg(cfg: RunConfig) -> RunReport:
         return report
 
 
-def run_study(cfg: RunConfig, n_values, workers: int = 1):
+def run_study(cfg: RunConfig, n_values):
     """Execute one config across several N, returning reports plus orders.
 
     Neither a blow-up nor a numerical failure aborts the study: the row
     carries infinite errors, and orders over any non-finite column come
     back as nan.
     """
-    configs = [replace(cfg, n=int(n)) for n in n_values]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_study_leg, configs))
-    else:
-        reports = [_study_leg(c) for c in configs]
+    reports = [_study_leg(replace(cfg, n=int(n))) for n in n_values]
     orders = {}
     for key in ("error_l1", "error_linf"):
         errs = [getattr(r, key) for r in reports]

@@ -16,6 +16,13 @@ from rbfadvect.runner import RunConfig
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 CONFIG = RunConfig(problem="inflow_bump", method="sat", kernel="cubic", n=10, t_end=0.01)
+# One tiny run per operator assembly function.
+ASSEMBLY_CONFIGS = [CONFIG] + [
+    RunConfig(problem=problem, method=method, kernel="cubic", n=n, t_end=0.01)
+    for problem, method, n in (("inflow_bump", "usual", 6), ("inflow_bump", "fr", 6),
+                               ("varcoeff", "sat", 6), ("acoustic", "sat", 6),
+                               ("advect2d", "usual", 5), ("advect2d", "sat", 5))
+]
 
 
 @pytest.fixture()
@@ -27,12 +34,12 @@ def bench_modules(monkeypatch):
     return layers, tracer
 
 
-def _traced_run(bench_modules, plan: str):
+def _traced_run(bench_modules, plan: str, config: RunConfig = CONFIG):
     layers, tracer = bench_modules
     recorder = tracer.Tracer()
     try:
         getattr(layers, plan)(recorder)
-        report = runner.execute_run(CONFIG)
+        report = runner.execute_run(config)
     finally:
         recorder.restore()
     return report, recorder.take()
@@ -47,12 +54,16 @@ def test_probes_bind_and_count_steps(bench_modules):
 
 
 def test_trace_binds_every_layer(bench_modules):
-    report, spans = _traced_run(bench_modules, "install_trace")
-    steps = spans.counts["timestep.steps"]
-    assert steps == report.steps > 0
-    assert spans.calls("operators.rhs") == 3 * steps
-    assert spans.calls("interpolation.build_nodal_basis") == 1
-    assert spans.counts["interpolation.eval.rows"] > 0
+    for config in ASSEMBLY_CONFIGS:
+        report, spans = _traced_run(bench_modules, "install_trace", config)
+        label = f"{config.problem}/{config.method}"
+        steps = spans.counts["timestep.steps"]
+        assert steps == report.steps > 0, label
+        assert spans.calls("operators.init") >= 1, label
+        assert spans.calls("operators.rhs") == 3 * steps, label
+        # FR builds an auxiliary basis for its correction functions.
+        assert spans.calls("interpolation.build_nodal_basis") == (2 if config.method == "fr" else 1), label
+        assert spans.counts["interpolation.eval.rows"] > 0, label
 
 
 def test_restore_unwraps_everything(bench_modules):

@@ -38,6 +38,28 @@ def test_validation_exit_codes(tmp_path, capsys):
                    "--kernel", "quintic", "--m", "1", "--out-dir", str(tmp_path)) == 2
 
 
+RUN_SAT = ("run", "--problem", "inflow_bump", "--method", "sat", "--N", "10")
+
+
+@pytest.mark.parametrize("argv", [
+    RUN_SAT + ("--cfl", "0"),
+    RUN_SAT + ("--cfl", "-1"),
+    RUN_SAT + ("--cfl", "nan"),
+    RUN_SAT + ("--sigma", "nan"),
+    RUN_SAT + ("--t-end", "nan"),
+    RUN_SAT + ("--t-end", "inf"),
+    ("run", "--problem", "varcoeff", "--method", "sat", "--N", "10", "--alpha-skew", "nan"),
+    ("conditioning", "--N", "1"),
+], ids=["cfl0", "cfl-1", "cfl-nan", "sigma-nan", "t_end-nan", "t_end-inf", "alpha-nan",
+        "conditioning-N1"])
+def test_bad_numeric_inputs_exit_2_with_json(argv, tmp_path, capsys):
+    # Each used to end in a traceback, a silent run, a blow-up report or a hang.
+    assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigurationError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_blow_up_exit_code_with_partial_report(tmp_path, capsys):
     out = tmp_path / "out"
     # A CFL far above the stability limit feeds exponential growth until
@@ -71,17 +93,6 @@ def test_study_reruns_byte_identical(tmp_path):
     assert run_cli(*args, "--out-dir", str(out2)) == 0
     for name in ("errors.csv", "energy.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_worker_pool_does_not_change_outputs(tmp_path, monkeypatch):
-    args = ("study", "--problem", "inflow_bump", "--method", "sat",
-            "--kernel", "cubic", "--N", "10", "--N", "20", "--t-end", "0.2")
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    monkeypatch.setenv("RBF_ADVECT_THREADS", "1")
-    assert run_cli(*args, "--out-dir", str(serial)) == 0
-    monkeypatch.setenv("RBF_ADVECT_THREADS", "4")
-    assert run_cli(*args, "--out-dir", str(parallel)) == 0
-    assert (serial / "errors.csv").read_bytes() == (parallel / "errors.csv").read_bytes()
 
 
 def test_conditioning_report(tmp_path):

@@ -15,7 +15,7 @@ from rbfadvect.diagnostics import (
 from rbfadvect.errors import DimensionError
 from rbfadvect.interpolation import build_nodal_basis, equidistant_centers
 from rbfadvect.kernels import cubic
-from rbfadvect.operators import SatAdvection1D
+from rbfadvect.operators import sat_1d
 from rbfadvect.problems import inflow_bump
 from rbfadvect.timestep import TimeIntegration, integrate
 
@@ -66,7 +66,7 @@ def test_energy_series_nonnegative_and_nonincreasing_without_data(rule):
     # breaks monotonicity, so the check runs on the resolved grids.
     for n in (40, 80):
         nb = build_nodal_basis(equidistant_centers(n), cubic(), 2)
-        op = SatAdvection1D(nb, 1.0, g=lambda t: 0.0, rule=rule)
+        op = sat_1d(nb, 1.0, g=lambda t: 0.0, rule=rule)
         recorder = EnergyRecorder(nb, rule)
         u0 = inflow_bump().initial(nb.centers.points[:, 0])
         integrate(op, u0, TimeIntegration(t_end=0.4, cfl=0.1, record_stride=1), hooks=[recorder])

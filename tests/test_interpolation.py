@@ -109,9 +109,9 @@ def test_polynomial_reproduction(kern, m, rng):
 
 def test_matching_constraints(cubic_basis_10, rng):
     values = rng.standard_normal(10)
-    interp = cubic_basis_10.fit(values)
+    alpha = cubic_basis_10.coef[:10] @ values
     p = cubic_basis_10.poly.rows(cubic_basis_10.centers.points)
-    assert np.abs(p @ interp.alpha).max() <= 1e-8 * max(np.abs(interp.alpha).max(), 1e-30)
+    assert np.abs(p @ alpha).max() <= 1e-8 * max(np.abs(alpha).max(), 1e-30)
 
 
 def test_evaluation_linear_in_data(cubic_basis_10, rng):

@@ -25,7 +25,6 @@ def test_table_values():
 
 def test_first_and_second_derivatives_cubic_quintic():
     assert cubic().phi_d1(2.0) == 12.0
-    assert cubic().phi_d2(2.0) == 12.0
     assert quintic().phi_d1(1.0) == 5.0
 
 
@@ -54,18 +53,12 @@ def test_derivatives_match_finite_differences(r, idx):
     d1 = kern.phi_d1(r)
     fd1 = (kern.phi(r + h) - kern.phi(r - h)) / (2 * h)
     assert abs(d1 - fd1) <= 1e-5 * max(1.0, abs(d1))
-    d2 = kern.phi_d2(r)
-    fd2 = (kern.phi_d1(r + h) - kern.phi_d1(r - h)) / (2 * h)
-    assert abs(d2 - fd2) <= 1e-5 * max(1.0, abs(d2))
 
 
 def test_limits_at_zero_radius():
     assert thin_plate(1).phi(0.0) == 0.0
     assert thin_plate(1).phi_d1(0.0) == 0.0
-    assert thin_plate(2).phi_d2(0.0) == 0.0
-    assert cubic().phi_d2(0.0) == 0.0
     assert quintic().phi_d1(0.0) == 0.0
-    assert quintic().phi_d2(0.0) == 0.0
 
 
 def test_vectorized_evaluation_matches_scalars():

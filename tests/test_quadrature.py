@@ -8,7 +8,6 @@ from rbfadvect.quadrature import (
     QuadratureRule,
     energy,
     gauss_legendre_nodes,
-    inner_product_deriv,
     inner_product_matrix,
     integrate_1d,
     mass_vector,
@@ -72,13 +71,6 @@ def test_integration_by_parts_identity(kern, m, rule):
     p_r = nb.psi_rows(np.array([1.0]))[0]
     boundary = np.outer(p_r, p_r) - np.outer(p_l, p_l)
     assert np.abs(g + g.T - boundary).max() <= 1e-8
-
-
-def test_inner_product_scalar_matches_matrix(cubic_basis_10, rule):
-    g = inner_product_matrix(cubic_basis_10, cubic_basis_10, rule)
-    assert inner_product_deriv(cubic_basis_10, 3, cubic_basis_10, 7, rule) == pytest.approx(
-        g[3, 7], abs=1e-12
-    )
 
 
 def test_inner_products_stable_under_panel_doubling(cubic_basis_10):

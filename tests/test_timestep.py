@@ -3,7 +3,7 @@ import pytest
 
 from rbfadvect.interpolation import build_nodal_basis, equidistant_centers
 from rbfadvect.kernels import cubic
-from rbfadvect.operators import SatAdvection1D
+from rbfadvect.operators import sat_1d
 from rbfadvect.quadrature import QuadratureRule
 from rbfadvect.timestep import (
     BlowUpError,
@@ -69,7 +69,7 @@ def test_compute_dt():
 @pytest.fixture(scope="module")
 def sat_op():
     nb = build_nodal_basis(equidistant_centers(10), cubic(), 2)
-    return SatAdvection1D(nb, 1.0, g=lambda t: 0.0, rule=QuadratureRule())
+    return sat_1d(nb, 1.0, g=lambda t: 0.0, rule=QuadratureRule())
 
 
 def test_integrate_zero_time_returns_initial(sat_op):
