@@ -37,14 +37,23 @@ def discrete_errors(u_num, u_exact) -> tuple[float, float]:
     return float(diff.mean()), float(diff.max())
 
 
-def l2_error(nb: NodalBasis, u_num, exact_fn, rule: QuadratureRule) -> float:
+def l2_error(nb: NodalBasis, u_num, exact_fn, rule: QuadratureRule, psi=None) -> float:
     """sqrt of the integrated squared difference u_N - u_exact.
 
     ``exact_fn`` takes the coordinate arrays (x) or (x, y) and is assumed
-    already bound to the evaluation time.
+    already bound to the evaluation time.  ``psi``, when given, holds the
+    cardinal rows at ``quadrature_grid(nb, rule)`` (EnergyRecorder.psi);
+    in 1D those come from the extended-precision coefficients, whereas the
+    chunked float64 path contracts ``nb.coef`` (entries up to 1e9 for
+    quintic N = 80) and leaves an L2 of rounding noise near 1e-7.
     """
     pts, w = quadrature_grid(nb, rule)
-    coeff = nb.coef @ np.asarray(u_num, dtype=float)
+    u_num = np.asarray(u_num, dtype=float)
+    if psi is not None:
+        ex = exact_fn(*pts.T)
+        with np.errstate(over="ignore"):
+            return float(math.sqrt(max(w @ (psi @ u_num - ex) ** 2, 0.0)))
+    coeff = nb.coef @ u_num
     total = 0.0
     chunk = 4096
     with np.errstate(over="ignore"):
@@ -95,6 +104,8 @@ class RunReport:
     failure_message: str = ""
     state_max: float = math.nan
     steps: int = 0
+    rhs_evals: int = 0     # RHS evaluations of the completed stagewise steps
+    fused_steps: int = 0   # steps advanced in fused blocks; steps == fused_steps + rhs_evals / 3
     sigma: float | None = None
     seed: int | None = None
     rng: str | None = None

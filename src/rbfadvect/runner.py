@@ -227,12 +227,16 @@ def execute_run(cfg: RunConfig) -> RunReport:
     try:
         u_final, trace = integrate(op, setup.u0, setup.ti, hooks)
         report.steps = trace.steps
+        report.rhs_evals = trace.rhs_evals
+        report.fused_steps = trace.fused_steps
     except BlowUpError as err:
         report.blew_up = True
         report.blowup_time = err.t
         report.blowup_step = err.step
         report.blowup_stage = err.stage
         report.steps = err.step or 0
+        report.rhs_evals = err.rhs_evals
+        report.fused_steps = err.fused_steps
         report.error_l1 = report.error_linf = report.error_l2 = math.inf
 
     report.energy = energy.series
@@ -252,7 +256,9 @@ def execute_run(cfg: RunConfig) -> RunReport:
             exact_fn = lambda x: problem.exact(t_end, x)
         n_per_field = nb.n
         report.error_l1, report.error_linf = discrete_errors(u_final[:n_per_field], exact_nodal)
-        report.error_l2 = l2_error(nb, u_final[:n_per_field], exact_fn, rule)
+        # 1D energy rows are longdouble-derived; 2D keeps the chunked path.
+        psi = energy.psi if nb.dim == 1 else None
+        report.error_l2 = l2_error(nb, u_final[:n_per_field], exact_fn, rule, psi=psi)
     return report
 
 

@@ -25,6 +25,12 @@ ASSEMBLY_CONFIGS = [CONFIG] + [
 ]
 
 
+# Long enough for integrate to advance stride blocks with the fused step
+# product; only the block holding the truncated last step runs stagewise.
+FUSED_CONFIG = RunConfig(problem="periodic_sin2", method="sat", kernel="cubic", n=10,
+                         t_end=0.5, record_stride=5)
+
+
 @pytest.fixture()
 def bench_modules(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
@@ -64,6 +70,18 @@ def test_trace_binds_every_layer(bench_modules):
         # FR builds an auxiliary basis for its correction functions.
         assert spans.calls("interpolation.build_nodal_basis") == (2 if config.method == "fr" else 1), label
         assert spans.counts["interpolation.eval.rows"] > 0, label
+
+
+def test_fused_run_counts(bench_modules):
+    # The probes count steps from the integration trace: fused and stagewise.
+    report, spans = _traced_run(bench_modules, "install_probes", FUSED_CONFIG)
+    assert report.fused_steps > 0
+    assert spans.counts["timestep.steps"] == report.steps
+    # The trace counts ssprk33_step calls: the stagewise steps only.
+    report, spans = _traced_run(bench_modules, "install_trace", FUSED_CONFIG)
+    steps = spans.counts["timestep.steps"]
+    assert steps == report.steps - report.fused_steps == report.rhs_evals // 3
+    assert spans.calls("operators.rhs") == 3 * steps
 
 
 def test_restore_unwraps_everything(bench_modules):

@@ -17,6 +17,7 @@ from rbfadvect.interpolation import build_nodal_basis, equidistant_centers
 from rbfadvect.kernels import cubic
 from rbfadvect.operators import sat_1d
 from rbfadvect.problems import inflow_bump
+from rbfadvect.runner import RunConfig, build_run
 from rbfadvect.timestep import TimeIntegration, integrate
 
 
@@ -34,6 +35,21 @@ def test_l2_error_exact_match_and_constant_offset(cubic_basis_10, rule):
     assert l2_error(cubic_basis_10, values, lambda x: x, rule) == pytest.approx(0.0, abs=1e-8)
     offset = l2_error(cubic_basis_10, values + 0.3, lambda x: x, rule)
     assert offset == pytest.approx(0.3, abs=1e-8)  # measure-1 domain
+
+
+def test_l2_error_from_cardinal_rows_is_not_rounding_noise():
+    # Quintic N = 80: the float64 coefficient path gives 2.2e-7 for the exact
+    # nodal solution and moves by 36% under a 1e-15 relative perturbation.
+    setup = build_run(RunConfig(problem="inflow_bump", method="sat", kernel="quintic", n=80,
+                                t_end=0.5))
+    nb, rule = setup.nb, setup.rule
+    exact = lambda x: setup.problem.exact(0.5, x)
+    u = exact(nb.centers.points[:, 0])
+    perturbed = u * (1.0 + 1e-15 * np.random.default_rng(0).standard_normal(u.size))
+    psi = EnergyRecorder(nb, rule).psi
+    base = l2_error(nb, u, exact, rule, psi=psi)
+    assert base == pytest.approx(1.368e-7, rel=1e-3)
+    assert abs(l2_error(nb, perturbed, exact, rule, psi=psi) - base) < 1e-6 * base
 
 
 def test_average_order_values():
