@@ -218,6 +218,8 @@ def cmd_conditioning(args) -> int:
             raise ConfigurationError("m is below the kernel CPD order")
         if min(n_values) < 2:
             raise ConfigurationError("need at least N = 2")
+        if not 1 <= args.quad_points <= 64:
+            raise ConfigurationError("quad_points must lie in 1..64")
     except (ConfigurationError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
     rule = QuadratureRule(points_per_panel=args.quad_points)

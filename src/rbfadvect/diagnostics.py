@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionError
 from .interpolation import NodalBasis
 from .operators import BoundaryRecord, boundary_mismatches, integral_of_rhs, numerical_fluxes
-from .quadrature import QuadratureRule, quadrature_grid
+from .quadrature import QuadratureRule, quadrature_grid, quadrature_view
 
 
 def discrete_errors(u_num, u_exact) -> tuple[float, float]:
@@ -37,35 +37,18 @@ def discrete_errors(u_num, u_exact) -> tuple[float, float]:
     return float(diff.mean()), float(diff.max())
 
 
-def l2_error(nb: NodalBasis, u_num, exact_fn, rule: QuadratureRule, psi=None) -> float:
+def l2_error(nb: NodalBasis, u_num, exact_fn, rule: QuadratureRule) -> float:
     """sqrt of the integrated squared difference u_N - u_exact.
 
     ``exact_fn`` takes the coordinate arrays (x) or (x, y) and is assumed
-    already bound to the evaluation time.  ``psi``, when given, holds the
-    cardinal rows at ``quadrature_grid(nb, rule)`` (EnergyRecorder.psi);
-    in 1D those come from the extended-precision coefficients, whereas the
-    chunked float64 path contracts ``nb.coef`` (entries up to 1e9 for
-    quintic N = 80) and leaves an L2 of rounding noise near 1e-7.
+    already bound to the evaluation time.  Evaluated on the basis's
+    quadrature view: in 1D its cached cardinal rows come from the
+    extended-precision coefficients, whereas contracting the float64
+    ``nb.coef`` (entries up to 1e9 for quintic N = 80) would leave an L2 of
+    rounding noise near 1e-7.
     """
-    pts, w = quadrature_grid(nb, rule)
     u_num = np.asarray(u_num, dtype=float)
-    if psi is not None:
-        ex = exact_fn(*pts.T)
-        with np.errstate(over="ignore"):
-            return float(math.sqrt(max(w @ (psi @ u_num - ex) ** 2, 0.0)))
-    coeff = nb.coef @ u_num
-    total = 0.0
-    chunk = 4096
-    with np.errstate(over="ignore"):
-        for start in range(0, pts.shape[0], chunk):
-            sl = slice(start, start + chunk)
-            num = nb.basis_rows(pts[sl]) @ coeff
-            if nb.dim == 1:
-                ex = exact_fn(pts[sl][:, 0])
-            else:
-                ex = exact_fn(pts[sl][:, 0], pts[sl][:, 1])
-            total += w[sl] @ (num - ex) ** 2
-    return float(math.sqrt(max(total, 0.0)))
+    return quadrature_view(nb, rule).square_integrals((), u_num, exact_fn)[1]
 
 
 def average_order(errors) -> float:
@@ -118,40 +101,53 @@ class RunReport:
         return "-".join(parts)
 
 
-class EnergyRecorder:
-    """Hook appending (t, int u_N^2) pairs; sums fields for systems.
+# Largest number of state entries an EnergyRecorder buffers (0.5 MB).
+_BUFFER_ENTRIES = 1 << 16
 
-    Caches the cardinal values at the quadrature grid when that matrix is
-    small enough, otherwise re-evaluates chunkwise per sample.
+
+class EnergyRecorder:
+    """Hook collecting (t, int u_N^2) pairs; sums fields for systems.
+
+    A call only copies the state into a bounded buffer.  The buffered
+    states are evaluated together, in one pass over the basis's quadrature
+    view, when the buffer is full, when ``series`` is read, and in
+    ``finish``, which adds the L2 error of the final state to that pass.
     """
 
     def __init__(self, nb: NodalBasis, rule: QuadratureRule, n_fields: int = 1):
         self.nb = nb
         self.n_fields = n_fields
-        self.points, self.weights = quadrature_grid(nb, rule)
-        self.psi = None
-        if self.points.shape[0] * nb.n <= 2_000_000:
-            self.psi = nb.psi_rows(self.points)
-        self.series: list[tuple[float, float]] = []
-
-    def _single(self, u) -> float:
-        with np.errstate(over="ignore"):
-            if self.psi is not None:
-                vals = self.psi @ u
-                return float(self.weights @ vals ** 2)
-            coeff = self.nb.coef @ u
-            total = 0.0
-            chunk = 4096
-            for start in range(0, self.points.shape[0], chunk):
-                sl = slice(start, start + chunk)
-                vals = self.nb.basis_rows(self.points[sl]) @ coeff
-                total += self.weights[sl] @ vals ** 2
-            return float(total)
+        self.view = quadrature_view(nb, rule)
+        size = n_fields * nb.n
+        self._states = np.empty((max(1, _BUFFER_ENTRIES // size), size))
+        self._times: list[float] = []
+        self._series: list[tuple[float, float]] = []
 
     def __call__(self, t: float, u: np.ndarray):
-        n = self.nb.n
-        total = sum(self._single(u[i * n:(i + 1) * n]) for i in range(self.n_fields))
-        self.series.append((t, total))
+        if len(self._times) == self._states.shape[0]:
+            self._evaluate()
+        self._states[len(self._times)] = u
+        self._times.append(t)
+
+    def _evaluate(self, target=None, exact_fn=None):
+        k = len(self._times)
+        fields = self._states[:k].reshape(k * self.n_fields, self.nb.n)
+        energies, l2 = self.view.square_integrals(fields, target, exact_fn)
+        totals = energies.reshape(k, self.n_fields).sum(axis=1)
+        self._series.extend(zip(self._times, totals.tolist()))
+        self._times.clear()
+        return l2
+
+    @property
+    def series(self) -> list[tuple[float, float]]:
+        if self._times:
+            self._evaluate()
+        return self._series
+
+    def finish(self, u_num, exact_fn) -> float:
+        """Evaluate the buffered states and return the L2 error of ``u_num``
+        (first-field nodal values) against ``exact_fn``, in one grid pass."""
+        return self._evaluate(np.asarray(u_num, dtype=float), exact_fn)
 
 
 class ConservationRecorder:

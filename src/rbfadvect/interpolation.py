@@ -226,6 +226,8 @@ class NodalBasis:
     coef_ext: np.ndarray | None  # 1D only: longdouble copy carrying the refined digits
     vandermonde_cond: float
     _dmat: dict = field(default_factory=dict, repr=False)
+    # Quadrature views keyed by (points_per_panel, panels); see quadrature.quadrature_view.
+    quadrature_views: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:

@@ -9,7 +9,9 @@ identities close numerically.  2D integrals are tensor products over the
 rectangular domain.
 """
 
+import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,15 +137,83 @@ def quadrature_grid(nb: NodalBasis, rule: QuadratureRule):
 
 
 _CHUNK = 4096
+# Cardinal rows are cached when the (points x centers) matrix has at most
+# this many entries (16 MB); larger grids are evaluated in chunks per pass.
+_CACHE_ENTRIES = 2_000_000
 
 
-def _accumulate_basis(nb: NodalBasis, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_q w_q * raw_basis_row(x_q), chunked to bound memory."""
-    total = np.zeros(nb.n + nb.poly.q)
-    for start in range(0, pts.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        total += nb.basis_rows(pts[sl]).T @ w[sl]
-    return total
+class QuadratureView:
+    """The quadrature grid of one basis under one rule, with its cardinal rows.
+
+    ``psi`` holds the cardinal values at the grid points when that matrix
+    fits under the cache size, else None; then every pass re-evaluates the
+    raw basis rows chunk by chunk and contracts them with ``nb.coef``.
+    Obtain views through ``quadrature_view``, which caches them on the basis.
+    A view refers to its basis weakly, so keep the basis alive while using it.
+    """
+
+    def __init__(self, nb: NodalBasis, rule: QuadratureRule):
+        # A weak reference: the basis caches its views, and a strong one
+        # would make a cycle that only the cyclic garbage collector frees.
+        self.nb = weakref.proxy(nb)
+        self.points, self.weights = quadrature_grid(nb, rule)
+        self.psi = None
+        if self.points.shape[0] * nb.n <= _CACHE_ENTRIES:
+            self.psi = nb.psi_rows(self.points)
+
+    def row_blocks(self):
+        """(slice, raw basis rows) over the grid, ``_CHUNK`` points at a time.
+
+        Callers drop each block before asking for the next, so that only one
+        block is alive while the next one is built.
+        """
+        for start in range(0, self.points.shape[0], _CHUNK):
+            sl = slice(start, start + _CHUNK)
+            yield sl, self.nb.basis_rows(self.points[sl])
+
+    def square_integrals(self, fields, target=None, exact_fn=None):
+        """int u_N^2 for each row of ``fields``, in one pass over the grid.
+
+        With ``target`` (nodal values) and ``exact_fn`` (taking the
+        coordinate arrays), the same pass also returns the L2 error
+        sqrt(int (u_N - exact)^2) of the target, else None.  Each row is
+        contracted with its own matrix-vector product, so a row's value does
+        not depend on the others in the block.
+        """
+        fields = np.asarray(fields, dtype=float)
+        sums = np.zeros(fields.shape[0])
+        err = None if target is None else 0.0
+        w = self.weights
+        with np.errstate(over="ignore"):
+            if self.psi is not None:
+                for j, u in enumerate(fields):
+                    sums[j] = w @ (self.psi @ u) ** 2
+                if target is not None:
+                    err = w @ (self.psi @ target - exact_fn(*self.points.T)) ** 2
+            else:
+                coeffs = [self.nb.coef @ u for u in fields]
+                if target is not None:
+                    target_coeff = self.nb.coef @ target
+                for sl, rows in self.row_blocks():
+                    for j, coeff in enumerate(coeffs):
+                        sums[j] += w[sl] @ (rows @ coeff) ** 2
+                    if target is not None:
+                        err += w[sl] @ (rows @ target_coeff - exact_fn(*self.points[sl].T)) ** 2
+                    del rows
+        return sums, None if err is None else math.sqrt(max(err, 0.0))
+
+
+def quadrature_view(nb: NodalBasis, rule: QuadratureRule) -> QuadratureView:
+    """The basis's view for this rule, built on first use and cached on the basis.
+
+    Keyed by (points_per_panel, panels): the rule itself holds arrays and is
+    not hashable.  A SAT operator's mass vector and the run's energy samples
+    and L2 error therefore share one grid and one set of cardinal rows.
+    """
+    key = (rule.points_per_panel, rule.panels)
+    if key not in nb.quadrature_views:
+        nb.quadrature_views[key] = QuadratureView(nb, rule)
+    return nb.quadrature_views[key]
 
 
 def mass_vector(nb: NodalBasis, rule: QuadratureRule) -> np.ndarray:
@@ -152,11 +222,14 @@ def mass_vector(nb: NodalBasis, rule: QuadratureRule) -> np.ndarray:
     Warns (without failing) when any entry is nonpositive; the SAT penalty
     scaling divides by these entries.
     """
-    pts, w = quadrature_grid(nb, rule)
-    if nb.dim == 1:
-        h = nb.psi_rows(pts).T @ w
+    view = quadrature_view(nb, rule)
+    if view.psi is not None:
+        h = view.psi.T @ view.weights
     else:
-        acc = _accumulate_basis(nb, pts, w)
+        acc = np.zeros(nb.n + nb.poly.q)
+        for sl, rows in view.row_blocks():
+            acc += rows.T @ view.weights[sl]
+            del rows
         h = np.asarray(nb.coef.astype(np.longdouble).T @ acc.astype(np.longdouble), dtype=float)
     bad = int((h <= 0.0).sum())
     if bad:
@@ -166,22 +239,6 @@ def mass_vector(nb: NodalBasis, rule: QuadratureRule) -> np.ndarray:
             stacklevel=2,
         )
     return h
-
-
-def energy(nb: NodalBasis, values, rule: QuadratureRule) -> float:
-    """int u_N^2 over the domain for the interpolant of the nodal values."""
-    pts, w = quadrature_grid(nb, rule)
-    values = np.asarray(values, dtype=float)
-    if nb.dim == 1:
-        vals = nb.psi_rows(pts) @ values
-        return float(w @ vals ** 2)
-    full = nb.coef @ values
-    total = 0.0
-    for start in range(0, pts.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        vals = nb.basis_rows(pts[sl]) @ full
-        total += w[sl] @ vals ** 2
-    return float(total)
 
 
 def _union_grid(nb: NodalBasis, other: NodalBasis, rule: QuadratureRule):

@@ -20,7 +20,6 @@ from .diagnostics import (
     RunReport,
     average_order,
     discrete_errors,
-    l2_error,
 )
 from .errors import (
     ConfigurationError,
@@ -105,7 +104,7 @@ def validate_config(cfg: RunConfig):
         raise ConfigurationError(f"tau_L = {cfg.tau_l} violates the stability bound tau_L < -1/2")
     if problem.kind == "system1d" and not (0 < cfg.r0 < 1 and 0 < cfg.r1 < 1):
         raise ConfigurationError("R0 and R1 must lie in (0, 1)")
-    for name in ("cfl", "t_end", "sigma", "alpha_skew"):
+    for name in ("cfl", "t_end", "sigma", "alpha_skew", "tau_l", "tau_r"):
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
@@ -239,7 +238,6 @@ def execute_run(cfg: RunConfig) -> RunReport:
         report.fused_steps = err.fused_steps
         report.error_l1 = report.error_linf = report.error_l2 = math.inf
 
-    report.energy = energy.series
     report.state_max = maxabs.value
     for hook in hooks:
         if isinstance(hook, ConservationRecorder):
@@ -256,9 +254,9 @@ def execute_run(cfg: RunConfig) -> RunReport:
             exact_fn = lambda x: problem.exact(t_end, x)
         n_per_field = nb.n
         report.error_l1, report.error_linf = discrete_errors(u_final[:n_per_field], exact_nodal)
-        # 1D energy rows are longdouble-derived; 2D keeps the chunked path.
-        psi = energy.psi if nb.dim == 1 else None
-        report.error_l2 = l2_error(nb, u_final[:n_per_field], exact_fn, rule, psi=psi)
+        # The L2 error joins the last pass over the buffered energy samples.
+        report.error_l2 = energy.finish(u_final[:n_per_field], exact_fn)
+    report.energy = energy.series
     return report
 
 

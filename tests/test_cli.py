@@ -50,8 +50,14 @@ RUN_SAT = ("run", "--problem", "inflow_bump", "--method", "sat", "--N", "10")
     RUN_SAT + ("--t-end", "inf"),
     ("run", "--problem", "varcoeff", "--method", "sat", "--N", "10", "--alpha-skew", "nan"),
     ("conditioning", "--N", "1"),
+    RUN_SAT + ("--tau-r", "nan"),
+    RUN_SAT + ("--tau-r", "inf"),
+    RUN_SAT + ("--tau=-inf",),
+    ("conditioning", "--N", "10", "--quad-points", "0"),
+    ("conditioning", "--N", "10", "--quad-points", "65"),
 ], ids=["cfl0", "cfl-1", "cfl-nan", "sigma-nan", "t_end-nan", "t_end-inf", "alpha-nan",
-        "conditioning-N1"])
+        "conditioning-N1", "tau_r-nan", "tau_r-inf", "tau-minus-inf", "conditioning-quad0",
+        "conditioning-quad65"])
 def test_bad_numeric_inputs_exit_2_with_json(argv, tmp_path, capsys):
     # Each used to end in a traceback, a silent run, a blow-up report or a hang.
     assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbfadvect import diagnostics
 from rbfadvect.diagnostics import (
     EnergyRecorder,
     RunReport,
@@ -17,8 +18,9 @@ from rbfadvect.interpolation import build_nodal_basis, equidistant_centers
 from rbfadvect.kernels import cubic
 from rbfadvect.operators import sat_1d
 from rbfadvect.problems import inflow_bump
-from rbfadvect.runner import RunConfig, build_run
-from rbfadvect.timestep import TimeIntegration, integrate
+from rbfadvect.quadrature import quadrature_grid
+from rbfadvect.runner import RunConfig, build_run, execute_run
+from rbfadvect.timestep import BlowUpError, TimeIntegration, integrate
 
 
 def test_discrete_errors_basics():
@@ -46,10 +48,93 @@ def test_l2_error_from_cardinal_rows_is_not_rounding_noise():
     exact = lambda x: setup.problem.exact(0.5, x)
     u = exact(nb.centers.points[:, 0])
     perturbed = u * (1.0 + 1e-15 * np.random.default_rng(0).standard_normal(u.size))
-    psi = EnergyRecorder(nb, rule).psi
-    base = l2_error(nb, u, exact, rule, psi=psi)
+    base = l2_error(nb, u, exact, rule)
     assert base == pytest.approx(1.368e-7, rel=1e-3)
-    assert abs(l2_error(nb, perturbed, exact, rule, psi=psi) - base) < 1e-6 * base
+    assert abs(l2_error(nb, perturbed, exact, rule) - base) < 1e-6 * base
+
+
+def _energies_alone(nb, rule, states, n_fields=1):
+    """Reference: each field of each state contracted on its own, the
+    evaluation a recorder made per hook call before states were batched."""
+    pts, w = quadrature_grid(nb, rule)
+    psi = nb.psi_rows(pts) if pts.shape[0] * nb.n <= 2_000_000 else None
+
+    def single(u):
+        with np.errstate(over="ignore"):
+            if psi is not None:
+                return float(w @ (psi @ u) ** 2)
+            coeff = nb.coef @ u
+            total = 0.0
+            for start in range(0, len(w), 4096):
+                sl = slice(start, start + 4096)
+                total += w[sl] @ (nb.basis_rows(pts[sl]) @ coeff) ** 2
+            return float(total)
+
+    n = nb.n
+    return [(t, sum(single(u[i * n:(i + 1) * n]) for i in range(n_fields))) for t, u in states]
+
+
+def _recorded(cfg, monkeypatch, buffered_states=None):
+    """(setup, recorder, every hooked (t, u), final state or None on a blow-up)."""
+    setup = build_run(cfg)
+    n_fields = setup.problem.n_fields
+    if buffered_states is not None:
+        monkeypatch.setattr(diagnostics, "_BUFFER_ENTRIES", buffered_states * n_fields * setup.nb.n)
+    recorder = EnergyRecorder(setup.nb, setup.rule, n_fields)
+    states = []
+    try:
+        u, _ = integrate(setup.op, setup.u0, setup.ti,
+                         hooks=[recorder, lambda t, u: states.append((t, u.copy()))])
+    except BlowUpError:
+        u = None
+    return setup, recorder, states, u
+
+
+BATCH_CASES = {
+    "1d-cached-rows": (RunConfig(problem="inflow_bump", method="sat", kernel="quintic", n=20,
+                                 t_end=0.2), None),
+    # 16,900 grid points x 196 centers is above the row cache: chunked passes.
+    "2d-chunked": (RunConfig(problem="advect2d", method="usual", kernel="cubic", n=14,
+                             record_stride=20), None),
+    "acoustic-two-fields": (RunConfig(problem="acoustic", method="sat", kernel="cubic", n=10,
+                                      t_end=1.0), None),
+    "several-flushes": (RunConfig(problem="acoustic", method="sat", kernel="quintic", n=10,
+                                  t_end=1.0, record_stride=2), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_energies_equal_one_at_a_time(case, monkeypatch):
+    cfg, buffered_states = BATCH_CASES[case]
+    setup, recorder, states, u = _recorded(cfg, monkeypatch, buffered_states)
+    nb, n_fields = setup.nb, setup.problem.n_fields
+    assert (recorder.view.psi is None) == (case == "2d-chunked")
+    if buffered_states is not None:
+        assert len(states) > 3 * buffered_states
+    l2 = None
+    if setup.problem.exact is not None:
+        exact_fn = lambda *x: setup.problem.exact(setup.ti.t_end, *x)
+        l2 = recorder.finish(u[:nb.n], exact_fn)
+        assert l2 == l2_error(nb, u[:nb.n], exact_fn, setup.rule)
+    # Bit for bit, not approximately.
+    assert recorder.series == _energies_alone(nb, setup.rule, states, n_fields)
+    report = execute_run(cfg)
+    assert report.energy == recorder.series
+    if l2 is not None:
+        assert report.error_l2 == l2
+
+
+def test_blown_up_run_keeps_samples_before_blow_up(monkeypatch):
+    # FR cubic N = 20 overflows in a stage at step 12671 (1268 samples); a
+    # 100-state buffer has been evaluated 12 times and holds 68 states then.
+    cfg = RunConfig(problem="inflow_bump", method="fr", kernel="cubic", n=20, t_end=100.0)
+    setup, recorder, states, u = _recorded(cfg, monkeypatch, buffered_states=100)
+    assert u is None and len(states) == 1268
+    expected = _energies_alone(setup.nb, setup.rule, states)
+    np.testing.assert_array_equal(np.array(recorder.series), np.array(expected))
+    report = execute_run(cfg)
+    assert report.blew_up
+    np.testing.assert_array_equal(np.array(report.energy), np.array(expected))
 
 
 def test_average_order_values():

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from rbfadvect import quadrature
+from rbfadvect.diagnostics import EnergyRecorder
 from rbfadvect.interpolation import CenterSet, build_nodal_basis, equidistant_centers, grid_centers
 from rbfadvect.kernels import cubic, quintic
 from rbfadvect.quadrature import (
     NonpositiveMassWarning,
     QuadratureRule,
-    energy,
     gauss_legendre_nodes,
     inner_product_matrix,
     integrate_1d,
     mass_vector,
     quadrature_grid,
+    quadrature_view,
 )
+from rbfadvect.runner import RunConfig, build_run
 
 
 def test_gauss_legendre_small_orders():
@@ -107,13 +110,15 @@ def test_mass_vector_warns_on_nonpositive_entries(rule):
 
 
 def test_energy_values(cubic_basis_10, rule):
-    assert energy(cubic_basis_10, np.zeros(10), rule) == 0.0
-    assert energy(cubic_basis_10, np.ones(10), rule) == pytest.approx(1.0, abs=1e-8)
+    energies, l2 = quadrature_view(cubic_basis_10, rule).square_integrals([np.zeros(10), np.ones(10)])
+    assert l2 is None
+    assert energies[0] == 0.0
+    assert energies[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_energy_nonnegative_on_random_data(cubic_basis_10, rule, rng):
-    for _ in range(10):
-        assert energy(cubic_basis_10, rng.standard_normal(10), rule) >= 0.0
+    energies, _ = quadrature_view(cubic_basis_10, rule).square_integrals(rng.standard_normal((10, 10)))
+    assert np.all(energies >= 0.0)
 
 
 def test_energy_of_sin_squared_interpolant(rule):
@@ -121,7 +126,27 @@ def test_energy_of_sin_squared_interpolant(rule):
     # interpolant reproduces it to the interpolation-error level.
     nb = build_nodal_basis(equidistant_centers(80), quintic(), 3)
     values = np.sin(2 * np.pi * nb.centers.points[:, 0]) ** 2
-    assert energy(nb, values, rule) == pytest.approx(3.0 / 8.0, abs=5e-4)
+    energies, _ = quadrature_view(nb, rule).square_integrals([values])
+    assert energies[0] == pytest.approx(3.0 / 8.0, abs=5e-4)
+
+
+def test_view_cached_per_rule(cubic_basis_10):
+    view = quadrature_view(cubic_basis_10, QuadratureRule(10, 1))
+    assert quadrature_view(cubic_basis_10, QuadratureRule(10, 1)) is view
+    assert quadrature_view(cubic_basis_10, QuadratureRule(10, 2)) is not view
+    # A SAT run's recorder reads the rows its mass vector was built from.
+    setup = build_run(RunConfig(problem="inflow_bump", method="sat", n=10))
+    built = setup.nb.quadrature_views[(setup.rule.points_per_panel, setup.rule.panels)]
+    assert EnergyRecorder(setup.nb, setup.rule).view is built
+
+
+def test_mass_vector_chunked_path_matches_cached_rows(rule, monkeypatch):
+    nb = build_nodal_basis(grid_centers(5, 5), cubic(), 2, domain=((0, 1), (0, 1)))
+    cached = mass_vector(nb, rule)
+    monkeypatch.setattr(quadrature, "_CACHE_ENTRIES", 0)
+    nb = build_nodal_basis(grid_centers(5, 5), cubic(), 2, domain=((0, 1), (0, 1)))
+    assert quadrature_view(nb, rule).psi is None
+    np.testing.assert_allclose(mass_vector(nb, rule), cached, rtol=0, atol=1e-13)
 
 
 def test_2d_quadrature_grid_measures_unit_square(rule):
