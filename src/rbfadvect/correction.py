@@ -118,7 +118,7 @@ def build_corrections(
     if tsvd_rtol is not None:
         gammas = _tsvd_solve(a, rhs, tsvd_rtol)
     else:
-        fact = lu_factor(a)
+        fact = lu_factor(a, cond)
         if fact.singular:
             raise CorrectionBuildError(
                 f"singular correction system: kernel={nb.kernel.name}, N={n}, cond(A)={cond:.3e}",

@@ -84,22 +84,6 @@ class Kernel:
             out = np.sqrt((self.epsilon * r) ** 2 + 1.0)
         return _maybe_scalar(out, r)
 
-    def phi_d1(self, r):
-        """First radial derivative phi'(r)."""
-        r = _radius(r)
-        if self.family == "phs_odd":
-            out = (2 * self.k - 1) * r ** (2 * self.k - 2)
-        elif self.family == "phs_even":
-            safe = np.where(r > 0, r, 1.0)
-            out = np.where(r > 0, safe ** (2 * self.k - 1) * (2 * self.k * np.log(safe) + 1.0), 0.0)
-        elif self.family == "gaussian":
-            e2 = self.epsilon ** 2
-            out = -2.0 * e2 * r * np.exp(-e2 * r ** 2)
-        else:
-            e2 = self.epsilon ** 2
-            out = e2 * r / np.sqrt(e2 * r ** 2 + 1.0)
-        return _maybe_scalar(out, r)
-
     def d1_over_r(self, r):
         """phi'(r)/r with its analytic r -> 0 limit, for chain-rule gradients."""
         r = _radius(r)

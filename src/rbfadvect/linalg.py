@@ -1,9 +1,10 @@
-"""Dense LU factorization and SVD condition numbers.
+"""Dense solves and SVD condition numbers, over ``numpy.linalg``.
 
 Every linear system in this package is small and dense (a few hundred rows
-at most: block Vandermonde systems, correction-function systems,
-differentiation matrices), so plain partial-pivoting LU and a full singular
-value decomposition are both exact enough and cheap.
+at most: block Vandermonde systems, correction-function systems), so LAPACK
+``gesv`` solves them directly and a full singular value decomposition gives
+the condition number.  A system counts as singular when its condition
+number is not below 1/eps: then no solve is attempted.
 """
 
 from dataclasses import dataclass
@@ -12,80 +13,46 @@ import numpy as np
 
 from .errors import DimensionError, SingularSystemError
 
-# A pivot below this fraction of the largest entry counts as zero.
-PIVOT_RTOL = 1e-14
+_SINGULAR_COND = 1.0 / np.finfo(float).eps
 
 
 @dataclass
-class LUFactorization:
-    """Combined L\\U factors of a row-permuted square matrix.
+class LinearSystem:
+    """A square system ready to solve; ``singular`` forbids every solve."""
 
-    ``factors`` stores the strict lower triangle of L (unit diagonal
-    implied) and the upper triangle of U.  ``perm`` is the row permutation
-    applied to the input, i.e. ``A[perm] = L @ U``.  When ``singular`` is
-    set no solve may be performed.
-    """
-
-    factors: np.ndarray
-    perm: np.ndarray
+    matrix: np.ndarray
     singular: bool
 
-    @property
-    def n(self) -> int:
-        return self.factors.shape[0]
 
+def lu_factor(m, cond: float | None = None) -> LinearSystem:
+    """Check a square matrix and flag it singular when ``not cond < 1/eps``.
 
-def lu_factor(m) -> LUFactorization:
-    """Factor a square matrix with partial pivoting.
-
-    The singular flag is set as soon as a pivot magnitude falls to
-    ``PIVOT_RTOL`` times the largest absolute entry of the input.
+    ``cond`` is the 2-norm condition number; it is computed here when the
+    caller has not already done so.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"LU factorization needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    perm = np.arange(n)
-    tol = PIVOT_RTOL * (np.abs(a).max() if a.size else 0.0)
-    singular = False
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= tol:
-            singular = True
-            break
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        a[k + 1:, k] /= a[k, k]
-        if k + 1 < n:
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return LUFactorization(a, perm, singular)
+        raise DimensionError(f"a linear solve needs a square matrix, got shape {a.shape}")
+    if cond is None:
+        cond = condition_number(a)
+    return LinearSystem(a, not cond < _SINGULAR_COND)
 
 
-def solve(f: LUFactorization, rhs) -> np.ndarray:
-    """Solve ``A x = rhs`` given the factorization of A.
+def solve(f: LinearSystem, rhs) -> np.ndarray:
+    """Solve ``A x = rhs`` with LAPACK ``gesv``.
 
     ``rhs`` may be a vector or a matrix of stacked right-hand-side columns.
     """
     if f.singular:
-        raise SingularSystemError("cannot solve with a singular factorization")
+        raise SingularSystemError("cannot solve a singular system")
     b = np.asarray(rhs, dtype=float)
-    n = f.n
+    n = f.matrix.shape[0]
     if b.shape[0] != n:
         raise DimensionError(f"right-hand side has {b.shape[0]} rows, expected {n}")
-    y = b[f.perm].astype(float)
-    lu = f.factors
-    for k in range(1, n):
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(n - 1, -1, -1):
-        y[k] -= lu[k, k + 1:] @ y[k + 1:]
-        y[k] /= lu[k, k]
-    return y
-
-
-def lu_solve(m, rhs) -> np.ndarray:
-    """Factor and solve in one call."""
-    return solve(lu_factor(m), rhs)
+    try:
+        return np.linalg.solve(f.matrix, b)
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError(f"cannot solve a singular system: {err}") from err
 
 
 def condition_number(m) -> float:

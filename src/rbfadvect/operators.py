@@ -142,6 +142,14 @@ def _penalty(nb: NodalBasis, mass: np.ndarray, side: str) -> np.ndarray:
     return pen
 
 
+def _check_tau(tau_l: float, tau_r: float = -1.0):
+    """Penalty strengths are finite, and tau_L < -1/2 for energy stability."""
+    if not (math.isfinite(tau_l) and math.isfinite(tau_r)):
+        raise StabilityParameterError(f"tau_L = {tau_l} and tau_R = {tau_r} must be finite")
+    if not tau_l < -0.5:
+        raise StabilityParameterError(f"tau_L = {tau_l} violates tau_L < -1/2")
+
+
 def _pin(matrix: np.ndarray, mask) -> np.ndarray:
     """Zero the rows and columns of pinned nodes in place; return the removed columns."""
     cols = matrix[:, mask].copy()
@@ -193,8 +201,7 @@ def fr_1d(nb: NodalBasis, a: float, g=None, corrections: CorrectionFunctions | N
 def sat_1d(nb: NodalBasis, a: float, g=None, rule: QuadratureRule | None = None,
            tau_l: float = -1.0, tau_r: float = -1.0, g_right=None) -> SemidiscreteOperator:
     """SAT-RBF: -a D u + tau a+- H^-1 e_b (u_N(x_b) - g)."""
-    if not tau_l < -0.5:
-        raise StabilityParameterError(f"tau_L = {tau_l} violates tau_L < -1/2")
+    _check_tau(tau_l, tau_r)
     if a > 0 and g is None:
         raise ConfigurationError("inflow at the left boundary needs data g(t)")
     a = float(a)
@@ -219,8 +226,7 @@ def sat_varcoeff_1d(nb: NodalBasis, a_fn, a_prime_fn, g, rule: QuadratureRule | 
 
     A = -(alpha D diag(a) + (1 - alpha) (diag(a') + diag(a) D)) + left penalty.
     """
-    if not tau_l < -0.5:
-        raise StabilityParameterError(f"tau_L = {tau_l} violates tau_L < -1/2")
+    _check_tau(tau_l)
     d = nb.differentiation_matrix()
     x = nb.centers.points[:, 0]
     a_values = np.asarray(a_fn(x), dtype=float)

@@ -11,6 +11,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DegenerateCentersError
 from .interpolation import CenterSet
 
 
@@ -209,7 +210,7 @@ def scattered_centers(n: int, cfg: ScatterConfig) -> CenterSet:
     Interior points are n/N + Z_n with Z_n uniform on
     (-1/(sigma n), 1/(sigma n)) from a seeded 64-bit generator (PCG64).
     Draws violating strict ordering or a minimum spacing of 0.1/n are
-    resampled, at most 100 times.
+    resampled, at most 100 times; then DegenerateCentersError is raised.
     """
     if n < 2:
         raise ValueError("need at least two intervals")
@@ -221,4 +222,6 @@ def scattered_centers(n: int, cfg: ScatterConfig) -> CenterSet:
         pts = np.concatenate([[0.0], interior, [1.0]])
         if np.all(np.diff(pts) >= 0.1 / n):
             return CenterSet(pts.reshape(-1, 1))
-    raise RuntimeError(f"could not draw ordered scattered centers for sigma={cfg.sigma}, N={n}")
+    raise DegenerateCentersError(
+        f"could not draw ordered scattered centers for sigma={cfg.sigma}, N={n}"
+    )

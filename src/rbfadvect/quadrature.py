@@ -24,43 +24,19 @@ class NonpositiveMassWarning(UserWarning):
 
 
 def gauss_legendre_nodes(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    Newton iteration on the Legendre recurrence; every node is converged
-    to 1e-15.  Supports 1 <= n <= 64.
-    """
+    """Gauss-Legendre nodes (increasing) and weights on [-1, 1], 1 <= n <= 64."""
     if not 1 <= n <= 64:
         raise ValueError(f"point count {n} outside supported range 1..64")
-    i = np.arange(1, n + 1)
-    x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
-
-    def _legendre(x):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x ** 2 - 1.0)
-        return p1, dp
-
-    for _ in range(100):
-        pn, dpn = _legendre(x)
-        dx = pn / dpn
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    _, dpn = _legendre(x)
-    w = 2.0 / ((1.0 - x ** 2) * dpn ** 2)
-    order = np.argsort(x)
-    return x[order], w[order]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite rule: ``panels`` subdivisions per segment, fixed points each.
 
-    For ``integrate_1d`` the segment is the whole interval; for basis
-    integrals the segments are the inter-center gaps, so ``panels`` acts as
-    a refinement multiplier on the center-aligned panels.
+    The segments are the gaps between consecutive breakpoints (for basis
+    integrals, the inter-center gaps), so ``panels`` acts as a refinement
+    multiplier on the center-aligned panels.
     """
 
     points_per_panel: int = 10
@@ -91,14 +67,6 @@ def panel_points(breakpoints, rule: QuadratureRule):
             xs.append(0.5 * (a + b) + half * rule.nodes)
             ws.append(half * rule.weights)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def integrate_1d(f, a: float, b: float, rule: QuadratureRule) -> float:
-    """Composite integral of a vectorized function over [a, b]."""
-    if not a < b:
-        raise ValueError("integration interval must satisfy a < b")
-    x, w = panel_points(np.array([a, b]), rule)
-    return float(w @ np.asarray(f(x), dtype=float))
 
 
 def _breaks_1d(nb: NodalBasis, extra=None) -> np.ndarray:

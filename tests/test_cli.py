@@ -213,3 +213,30 @@ def test_numerical_failure_exit_code_on_conditioning(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "cond"))
     assert code == 4
     assert json.loads(capsys.readouterr().err.strip())["error"] == "SingularSystemError"
+
+
+# sigma = 0.3 makes the interior jitter exceed the spacing: every draw at
+# N = 12 breaks the ordering, while N = 3 draws ordered centers.
+SCATTER_ARGS = ("--problem", "inflow_bump", "--method", "sat", "--sigma", "0.3",
+                "--t-end", "0.1")
+
+
+def test_failed_scattered_draw_exits_4_with_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", *SCATTER_ARGS, "--N", "12", "--out-dir", str(out)) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "DegenerateCentersError"
+    assert "sigma=0.3, N=12" in err["message"]
+    assert not out.exists()
+
+
+def test_failed_scattered_draw_flags_study_row(tmp_path, capsys):
+    out = tmp_path / "study"
+    code = run_cli("study", *SCATTER_ARGS, "--N", "3", "--N", "12", "--out-dir", str(out))
+    assert code == 0
+    warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(w["warning"], w["N"], w["error"]) for w in warnings] == [
+        ("numerical-failure", 12, "DegenerateCentersError")]
+    rows = (out / "errors.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[3] == "3" and rows[0].split(",")[4] != "inf"
+    assert rows[1].split(",")[3:7] == ["12", "inf", "inf", "inf"]

@@ -75,7 +75,7 @@ def _energies_alone(nb, rule, states, n_fields=1):
 
 
 def _recorded(cfg, monkeypatch, buffered_states=None):
-    """(setup, recorder, every hooked (t, u), final state or None on a blow-up)."""
+    """(setup, recorder, every hooked (t, u), final state or the BlowUpError)."""
     setup = build_run(cfg)
     n_fields = setup.problem.n_fields
     if buffered_states is not None:
@@ -85,8 +85,8 @@ def _recorded(cfg, monkeypatch, buffered_states=None):
     try:
         u, _ = integrate(setup.op, setup.u0, setup.ti,
                          hooks=[recorder, lambda t, u: states.append((t, u.copy()))])
-    except BlowUpError:
-        u = None
+    except BlowUpError as err:
+        u = err
     return setup, recorder, states, u
 
 
@@ -125,15 +125,20 @@ def test_batched_energies_equal_one_at_a_time(case, monkeypatch):
 
 
 def test_blown_up_run_keeps_samples_before_blow_up(monkeypatch):
-    # FR cubic N = 20 overflows in a stage at step 12671 (1268 samples); a
-    # 100-state buffer has been evaluated 12 times and holds 68 states then.
+    # FR cubic N = 20 overflows in a stage.  The step depends on rounding in
+    # the rank-deficient correction system, so the sample count is derived
+    # from the run: t = 0 and every stride-th of the steps completed before
+    # the failing one.
     cfg = RunConfig(problem="inflow_bump", method="fr", kernel="cubic", n=20, t_end=100.0)
-    setup, recorder, states, u = _recorded(cfg, monkeypatch, buffered_states=100)
-    assert u is None and len(states) == 1268
+    setup, recorder, states, err = _recorded(cfg, monkeypatch, buffered_states=100)
+    assert isinstance(err, BlowUpError)
+    assert len(states) == 1 + (err.step - 1) // setup.ti.record_stride
+    # The 100-state buffer was evaluated more than 3 times before the blow-up.
+    assert len(states) > 3 * 100
     expected = _energies_alone(setup.nb, setup.rule, states)
     np.testing.assert_array_equal(np.array(recorder.series), np.array(expected))
     report = execute_run(cfg)
-    assert report.blew_up
+    assert report.blew_up and report.blowup_step == err.step
     np.testing.assert_array_equal(np.array(report.energy), np.array(expected))
 
 

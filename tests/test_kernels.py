@@ -24,8 +24,9 @@ def test_table_values():
 
 
 def test_first_and_second_derivatives_cubic_quintic():
-    assert cubic().phi_d1(2.0) == 12.0
-    assert quintic().phi_d1(1.0) == 5.0
+    # phi'(r) enters every gradient as d1_over_r(r) * r.
+    assert cubic().d1_over_r(2.0) * 2.0 == 12.0
+    assert quintic().d1_over_r(1.0) * 1.0 == 5.0
 
 
 def test_cpd_orders_match_kernel_families():
@@ -42,7 +43,7 @@ def test_finite_difference_oracle_at_fixed_radius():
     for kern in ALL_KERNELS:
         r = 0.7
         fd = (kern.phi(r + h) - kern.phi(r - h)) / (2 * h)
-        assert fd == pytest.approx(kern.phi_d1(r), rel=1e-6)
+        assert fd == pytest.approx(kern.d1_over_r(r) * r, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,22 +51,22 @@ def test_finite_difference_oracle_at_fixed_radius():
 def test_derivatives_match_finite_differences(r, idx):
     kern = ALL_KERNELS[idx]
     h = 1e-6
-    d1 = kern.phi_d1(r)
+    d1 = kern.d1_over_r(r) * r
     fd1 = (kern.phi(r + h) - kern.phi(r - h)) / (2 * h)
     assert abs(d1 - fd1) <= 1e-5 * max(1.0, abs(d1))
 
 
 def test_limits_at_zero_radius():
     assert thin_plate(1).phi(0.0) == 0.0
-    assert thin_plate(1).phi_d1(0.0) == 0.0
-    assert quintic().phi_d1(0.0) == 0.0
+    assert thin_plate(1).d1_over_r(0.0) * 0.0 == 0.0
+    assert quintic().d1_over_r(0.0) == 0.0
 
 
 def test_vectorized_evaluation_matches_scalars():
     r = np.array([0.0, 0.5, 2.0])
     kern = cubic()
     np.testing.assert_allclose(kern.phi(r), [kern.phi(v) for v in r])
-    np.testing.assert_allclose(kern.phi_d1(r), [kern.phi_d1(v) for v in r])
+    np.testing.assert_allclose(kern.d1_over_r(r), [kern.d1_over_r(v) for v in r])
 
 
 def test_negative_radius_rejected():
@@ -73,7 +74,7 @@ def test_negative_radius_rejected():
         with pytest.raises(ValueError):
             kern.phi(-0.1)
         with pytest.raises(ValueError):
-            kern.phi_d1(np.array([0.2, -0.3]))
+            kern.d1_over_r(np.array([0.2, -0.3]))
 
 
 def test_kernel_from_name():

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from rbfadvect.errors import DimensionError, SingularSystemError
-from rbfadvect.linalg import condition_number, lu_factor, lu_solve, solve
+from rbfadvect.linalg import condition_number, lu_factor, solve
+
+
+def lu_solve(m, rhs):
+    return solve(lu_factor(m), rhs)
 
 
 def test_identity_factorization_is_trivial():
     f = lu_factor(np.eye(3))
     assert not f.singular
-    np.testing.assert_allclose(f.factors, np.eye(3))
-    np.testing.assert_array_equal(f.perm, [0, 1, 2])
+    np.testing.assert_array_equal(solve(f, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_forced_pivot_swaps_rows():
+    # A zero leading entry needs a row exchange.
     f = lu_factor([[0.0, 1.0], [1.0, 0.0]])
     assert not f.singular
-    np.testing.assert_array_equal(f.perm, [1, 0])
     x = solve(f, np.array([2.0, 3.0]))
     np.testing.assert_allclose(x, [3.0, 2.0])
 
@@ -25,6 +28,25 @@ def test_zero_matrix_flags_singular():
     assert f.singular
     with pytest.raises(SingularSystemError):
         solve(f, np.zeros(2))
+
+
+def test_singularity_threshold_is_cond_one_over_eps():
+    limit = 1.0 / np.finfo(float).eps
+    below = np.diag([1.0, 1.0 / (0.99 * limit)])
+    above = np.diag([1.0, 1.0 / (1.01 * limit)])
+    assert condition_number(below) < limit <= condition_number(above)
+    assert not lu_factor(below).singular
+    assert lu_factor(above).singular
+    # The caller's condition number decides; nan and inf are flagged.
+    assert lu_factor(np.zeros((2, 2)), condition_number(np.zeros((2, 2)))).singular
+    assert lu_factor(np.eye(2), float("nan")).singular
+    assert not lu_factor(np.eye(2), 1.0).singular
+
+
+def test_lapack_singularity_raises_singular_system_error():
+    # An unflagged system that LAPACK still finds exactly singular.
+    with pytest.raises(SingularSystemError):
+        solve(lu_factor(np.zeros((2, 2)), 1.0), np.ones(2))
 
 
 def test_solve_identity_and_diagonal():

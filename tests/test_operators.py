@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,18 @@ class TestSat1D:
             sat_1d(cubic_basis_10, 1.0, g=lambda t: 0.0, rule=rule, tau_l=-0.4)
         with pytest.raises(StabilityParameterError):
             sat_1d(cubic_basis_10, 1.0, g=lambda t: 0.0, rule=rule, tau_l=-0.5)
+
+    @pytest.mark.parametrize("taus", [{"tau_r": math.nan}, {"tau_l": -math.inf},
+                                      {"tau_r": math.inf}, {"tau_l": math.nan}],
+                             ids=["tau_r-nan", "tau_l-minus-inf", "tau_r-inf", "tau_l-nan"])
+    def test_non_finite_tau_rejected(self, cubic_basis_10, rule, taus):
+        # A NaN strength used to pass the nonzero test and build a NaN matrix.
+        with pytest.raises(StabilityParameterError, match="finite"):
+            sat_1d(cubic_basis_10, 1.0, g=lambda t: 0.0, rule=rule, **taus)
+        if "tau_l" in taus:
+            with pytest.raises(StabilityParameterError, match="finite"):
+                sat_varcoeff_1d(cubic_basis_10, lambda x: 1.0 + 0 * x, lambda x: 0 * x,
+                                lambda t: 0.0, rule=rule, **taus)
 
     def test_bump_error_matches_tabulated_value(self, cubic_basis_40, rule):
         op = sat_1d(cubic_basis_40, 1.0, g=inflow_bump().boundary, rule=rule)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rbfadvect.errors import DegenerateCentersError
 from rbfadvect.problems import (
     ScatterConfig,
     acoustic_problem,
@@ -12,7 +13,7 @@ from rbfadvect.problems import (
     scattered_centers,
     varcoeff_problem,
 )
-from rbfadvect.quadrature import QuadratureRule, integrate_1d
+from rbfadvect.quadrature import QuadratureRule, panel_points
 
 
 def test_bump_values():
@@ -35,7 +36,8 @@ def test_periodic_exact_and_energy():
     prob = periodic_sin2()
     x = np.linspace(0, 1, 17)
     np.testing.assert_allclose(prob.exact(1.0, x), prob.exact(0.0, x), atol=1e-12)
-    energy = integrate_1d(lambda s: prob.initial(s) ** 2, 0, 1, QuadratureRule(10, 8))
+    s, w = panel_points([0.0, 1.0], QuadratureRule(10, 8))
+    energy = w @ prob.initial(s) ** 2
     assert energy == pytest.approx(3.0 / 8.0, abs=1e-12)
     # The imposed boundary datum is the periodic trace of the solution.
     for t in (0.0, 0.3, 1.7):
@@ -138,7 +140,7 @@ def test_scattered_centers_deterministic_per_seed():
 
 
 def test_scattered_centers_resampling_gives_up():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(DegenerateCentersError, match="sigma=0.05, N=50"):
         scattered_centers(50, ScatterConfig(sigma=0.05, seed=0))
 
 

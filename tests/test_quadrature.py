@@ -10,8 +10,8 @@ from rbfadvect.quadrature import (
     QuadratureRule,
     gauss_legendre_nodes,
     inner_product_matrix,
-    integrate_1d,
     mass_vector,
+    panel_points,
     quadrature_grid,
     quadrature_view,
 )
@@ -47,14 +47,16 @@ def test_gauss_legendre_range_check():
 
 
 def test_integrate_basics():
-    rule = QuadratureRule(10, 1)
-    assert integrate_1d(lambda x: np.ones_like(x), 0, 1, rule) == pytest.approx(1.0, abs=1e-14)
-    assert integrate_1d(lambda x: x ** 3, 0, 1, rule) == pytest.approx(0.25, abs=1e-14)
-    rule16 = QuadratureRule(10, 16)
-    val = integrate_1d(lambda x: np.sin(2 * np.pi * x) ** 4, 0, 1, rule16)
-    assert val == pytest.approx(3.0 / 8.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        integrate_1d(lambda x: x, 1.0, 0.0, rule)
+    x, w = panel_points([0.0, 1.0], QuadratureRule(10, 1))
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert w @ x ** 3 == pytest.approx(0.25, abs=1e-14)
+    x16, w16 = panel_points([0.0, 1.0], QuadratureRule(10, 16))
+    assert w16 @ np.sin(2 * np.pi * x16) ** 4 == pytest.approx(3.0 / 8.0, abs=1e-10)
+    # Uneven breakpoints: panels follow the gaps, points stay inside.
+    x, w = panel_points([0.0, 0.1, 0.7, 1.0], QuadratureRule(4, 2))
+    assert x.shape == w.shape == (24,)
+    assert np.all((x > 0.0) & (x < 1.0)) and np.all(np.diff(x) > 0)
+    assert w @ x ** 7 == pytest.approx(0.125, abs=1e-14)
 
 
 def test_derivative_inner_products_annihilate_constants(cubic_basis_10, rule):

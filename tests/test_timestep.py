@@ -257,9 +257,10 @@ def test_blow_up_replayed_stagewise(sat_op, stagewise, rate, fused_before):
 
 
 def test_blow_up_near_overflow_matches_stagewise(stagewise):
-    # FR cubic N = 20 grows until a stage overflows at step 12671, while the
-    # fused result at the end of that block is still finite: the block is
-    # replayed because it is near overflow, not because it is non-finite.
+    # FR cubic N = 20 grows until a stage overflows (near step 9000; the exact
+    # step moves with rounding in the correction system), while the fused
+    # result at the end of that block is still finite: the block is replayed
+    # because it is near overflow, not because it is non-finite.
     cfg = RunConfig(problem="inflow_bump", method="fr", kernel="cubic", n=20, t_end=100.0)
     errors = []
     for use_stagewise in (False, True):
