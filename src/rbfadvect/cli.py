@@ -10,19 +10,23 @@ Subcommands:
   writing conditioning.csv and corrections.csv.
 
 Configuration comes from an optional flat ``key=value`` file (``--config``)
-with command-line flags taking precedence.  Exit codes: 0 success, 2
-validation error, 3 blow-up (a blown-up single run still writes its
-partial report), 4 numerical failure (a singular or degenerate basis
-system or an unsolvable correction system; nothing is written).  Studies
-tolerate blow-ups and numerical failures: the affected row reports
-infinite errors and a JSON warning line.  Errors are emitted as one JSON
-object per line on stderr.
+with command-line flags taking precedence.  Both are derived from the
+``RunConfig`` fields: a field's key is its name unless ``KEY_ALIASES``
+spells it otherwise, and its flag is ``--`` + key with ``_`` -> ``-``.
+Exit codes: 0 success, 2 validation error (usage errors included), 3
+blow-up (a blown-up single run still writes its partial report), 4
+numerical failure (a singular or degenerate basis system or an
+unsolvable correction system; nothing is written).  Studies tolerate
+blow-ups and numerical failures: the affected row reports infinite
+errors and a JSON warning line.  Errors are emitted as one JSON object
+per line on stderr.
 """
 
 import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -36,9 +40,8 @@ from .diagnostics import (
 )
 from .errors import ConfigurationError, StabilityParameterError
 from .interpolation import build_nodal_basis, equidistant_centers
-from .kernels import kernel_from_name
 from .quadrature import QuadratureRule
-from .runner import NUMERICAL_ERRORS, RunConfig, execute_run, run_study, validate_config
+from .runner import METHODS, NUMERICAL_ERRORS, RunConfig, execute_run, run_study, validate_config
 from .timestep import BlowUpError
 
 EXIT_OK = 0
@@ -54,8 +57,12 @@ def _fail(kind: str, message: str, code: int, **extra) -> int:
 
 def read_config_file(path) -> dict:
     """Flat key=value lines; blank lines and #-comments ignored."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigurationError(f"cannot read config file {str(path)!r}: {err.strerror}") from err
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -65,66 +72,56 @@ def read_config_file(path) -> dict:
         values[key] = val
     return values
 
-_INT_KEYS = {"N", "m", "seed", "quad_points", "record_stride"}
-_FLOAT_KEYS = {"cfl", "t_end", "tau", "tau_r", "R0", "R1", "sigma", "alpha_skew", "tsvd_rtol"}
+
+# Config keys spelled unlike the RunConfig field they set.
+KEY_ALIASES = {"N": "n", "tau": "tau_l", "R0": "r0", "R1": "r1"}
 
 
-def _coerce(key: str, val: str):
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    return val
+def _scalar_type(annotation):
+    """int, float or str: the type a field's text value converts to."""
+    return next(t for t in (int, float, str) if t in (annotation, *typing.get_args(annotation)))
+
+
+_FIELD_KEYS = {name: key for key, name in KEY_ALIASES.items()}
+# Every config key, in RunConfig field order, with the field it sets and its type.
+CONFIG_KEYS = {_FIELD_KEYS.get(f.name, f.name): (f.name, _scalar_type(f.type))
+               for f in fields(RunConfig)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the JSON line every failure prints, exit 2."""
+
+    def error(self, message):
+        sys.exit(_fail("ConfigurationError", message, EXIT_VALIDATION))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rbfadvect", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="rbfadvect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    methods = list(dict.fromkeys(method for _, method in METHODS))
 
-    def common(p, multi_n: bool):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--problem")
-        p.add_argument("--method", choices=["usual", "fr", "sat"])
-        p.add_argument("--kernel")
-        if multi_n:
-            p.add_argument("--N", action="append", type=int, dest="n_values")
-        else:
-            p.add_argument("--N", type=int, dest="n")
-        p.add_argument("--m", type=int)
-        p.add_argument("--cfl", type=float)
-        p.add_argument("--t-end", type=float, dest="t_end")
-        p.add_argument("--tau", type=float, dest="tau_l")
-        p.add_argument("--tau-r", type=float, dest="tau_r")
-        p.add_argument("--R0", type=float, dest="r0")
-        p.add_argument("--R1", type=float, dest="r1")
-        p.add_argument("--alpha-skew", type=float, dest="alpha_skew")
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--quad-points", type=int, dest="quad_points")
-        p.add_argument("--record-stride", type=int, dest="record_stride")
-        p.add_argument("--tsvd-rtol", type=float, dest="tsvd_rtol")
+    def add_flags(p, keys, multi_n: bool):
+        for key in keys:
+            name, kind = CONFIG_KEYS[key]
+            flag = "--" + key.replace("_", "-")
+            if name == "n" and multi_n:
+                p.add_argument(flag, action="append", type=int, dest="n_values")
+            else:
+                p.add_argument(flag, type=kind, dest=name,
+                               choices=methods if name == "method" else None)
         p.add_argument("--out-dir", default="out", dest="out_dir")
 
-    common(sub.add_parser("run", help="run one simulation"), multi_n=False)
-    common(sub.add_parser("study", help="convergence study over several N"), multi_n=True)
+    for command, help_text in (("run", "run one simulation"),
+                               ("study", "convergence study over several N")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key=value config file")
+        add_flags(p, CONFIG_KEYS, multi_n=command == "study")
 
     cond = sub.add_parser("conditioning", help="FR correction conditioning report")
-    cond.add_argument("--kernel", default="cubic")
-    cond.add_argument("--N", action="append", type=int, dest="n_values")
-    cond.add_argument("--m", type=int)
-    cond.add_argument("--quad-points", type=int, dest="quad_points", default=10)
-    cond.add_argument("--out-dir", default="out", dest="out_dir")
+    # The report is on the FR correction system of inflow_bump's basis.
+    cond.set_defaults(problem="inflow_bump", method="fr")
+    add_flags(cond, ("kernel", "N", "m", "quad_points"), multi_n=True)
     return parser
-
-
-_CONFIG_ALIASES = {
-    "problem": "problem", "method": "method", "kernel": "kernel",
-    "N": "n", "m": "m", "cfl": "cfl", "t_end": "t_end", "tau": "tau_l",
-    "tau_r": "tau_r", "R0": "r0", "R1": "r1", "alpha_skew": "alpha_skew",
-    "sigma": "sigma", "seed": "seed", "quad_points": "quad_points",
-    "record_stride": "record_stride",
-    "tsvd_rtol": "tsvd_rtol",
-}
 
 
 def assemble_config(args) -> tuple[RunConfig, list | None]:
@@ -133,14 +130,14 @@ def assemble_config(args) -> tuple[RunConfig, list | None]:
     n_values = None
     if getattr(args, "config", None):
         for key, raw in read_config_file(args.config).items():
-            if key == "N" and "," in raw:
-                n_values = [int(v) for v in raw.split(",") if v.strip()]
-                continue
-            if key not in _CONFIG_ALIASES:
+            if key not in CONFIG_KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            merged[_CONFIG_ALIASES[key]] = _coerce(key, raw)
-    field_names = {f.name for f in fields(RunConfig)}
-    for name in field_names:
+            name, kind = CONFIG_KEYS[key]
+            if name == "n" and "," in raw:
+                n_values = [int(v) for v in raw.split(",") if v.strip()]
+            else:
+                merged[name] = kind(raw)
+    for name, _ in CONFIG_KEYS.values():
         val = getattr(args, name, None)
         if val is not None:
             merged[name] = val
@@ -174,7 +171,9 @@ def _write_run_outputs(out_dir: Path, reports, orders=None):
 
 def cmd_run(args) -> int:
     try:
-        cfg, _ = assemble_config(args)
+        cfg, n_values = assemble_config(args)
+        if n_values is not None:
+            raise ConfigurationError("run takes one N; a list of N values is for study")
         validate_config(cfg)
     except (ConfigurationError, StabilityParameterError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
@@ -189,13 +188,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _study_config(args):
+    """The config of a study or conditioning report, its N values and kernel; each N validated."""
+    cfg, n_values = assemble_config(args)
+    n_values = n_values or [10, 20, 40, 80]
+    for n in n_values:
+        _, kern = validate_config(replace(cfg, n=n))
+    return cfg, n_values, kern
+
+
 def cmd_study(args) -> int:
     try:
-        cfg, n_values = assemble_config(args)
-        if not n_values:
-            n_values = [10, 20, 40, 80]
-        for n in n_values:
-            validate_config(replace(cfg, n=n))
+        cfg, n_values, _ = _study_config(args)
     except (ConfigurationError, StabilityParameterError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
     reports, orders = run_study(cfg, n_values)
@@ -212,22 +216,15 @@ def cmd_study(args) -> int:
 
 def cmd_conditioning(args) -> int:
     try:
-        kern = kernel_from_name(args.kernel)
-        n_values = args.n_values or [10, 20, 40, 80]
-        if args.m is not None and args.m < kern.cpd_order:
-            raise ConfigurationError("m is below the kernel CPD order")
-        if min(n_values) < 2:
-            raise ConfigurationError("need at least N = 2")
-        if not 1 <= args.quad_points <= 64:
-            raise ConfigurationError("quad_points must lie in 1..64")
+        cfg, n_values, kern = _study_config(args)
     except (ConfigurationError, ValueError) as err:
         return _fail(type(err).__name__, str(err), EXIT_VALIDATION)
-    rule = QuadratureRule(points_per_panel=args.quad_points)
+    rule = QuadratureRule(points_per_panel=cfg.quad_points)
     cond_rows, corr_rows = [], []
     try:
         for n in n_values:
-            nb = build_nodal_basis(equidistant_centers(n), kern, args.m)
-            aux = build_nodal_basis(equidistant_centers(n + 2), kern, args.m)
+            nb = build_nodal_basis(equidistant_centers(n), kern, cfg.m)
+            aux = build_nodal_basis(equidistant_centers(n + 2), kern, cfg.m)
             cf = build_corrections(nb, aux, rule)
             res = verify_corrections(cf, nb, rule)
             cond_rows.append((kern.name, n, cf.cond))

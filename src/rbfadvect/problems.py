@@ -23,13 +23,14 @@ class ProblemSpec:
     "varcoeff1d" (a(x) with derivative), "system1d" (wave system with
     speed c and characteristic boundary data) or "advection2d".
     ``exact``, when present, takes (t, x[, y]) and satisfies the initial
-    condition at t = 0.
+    condition at t = 0.  ``t_end`` is the end time of a run that sets none.
     """
 
     name: str
     kind: str
     domain: tuple
     initial: Callable
+    t_end: float
     velocity: float | tuple | None = None
     velocity_fn: Callable | None = None
     velocity_prime_fn: Callable | None = None
@@ -80,6 +81,7 @@ def inflow_bump() -> ProblemSpec:
         domain=(0.0, 1.0),
         velocity=1.0,
         initial=bump,
+        t_end=0.5,
         boundary=g,
         exact=exact,
     )
@@ -110,6 +112,7 @@ def periodic_sin2() -> ProblemSpec:
         domain=(0.0, 1.0),
         velocity=1.0,
         initial=initial,
+        t_end=100.0,
         boundary=g,
         exact=exact,
     )
@@ -131,6 +134,7 @@ def varcoeff_problem() -> ProblemSpec:
         velocity_fn=lambda x: np.asarray(x, dtype=float),
         velocity_prime_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         initial=initial,
+        t_end=1.5,
         boundary=lambda t: 0.0,
         exact=exact,
     )
@@ -160,6 +164,7 @@ def acoustic_problem() -> ProblemSpec:
         domain=(0.0, 1.0),
         wave_speed=1.0,
         initial=initial,
+        t_end=100.0,
         boundary_left=g0,
         boundary_right=g1,
         n_fields=2,
@@ -184,6 +189,7 @@ def advection_2d() -> ProblemSpec:
         domain=((0.0, 1.0), (0.0, 1.0)),
         velocity=(1.0, 0.0),
         initial=initial,
+        t_end=0.52632,
         boundary=lambda t: 0.0,
         exact=exact,
     )

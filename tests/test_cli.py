@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from rbfadvect.cli import main, read_config_file
+from rbfadvect.cli import assemble_config, build_parser, main, read_config_file
 from rbfadvect.runner import RunConfig, build_run, execute_run
 from rbfadvect.timestep import BlowUpError, integrate
 
@@ -240,3 +241,76 @@ def test_failed_scattered_draw_flags_study_row(tmp_path, capsys):
     rows = (out / "errors.csv").read_text().splitlines()[1:]
     assert rows[0].split(",")[3] == "3" and rows[0].split(",")[4] != "inf"
     assert rows[1].split(",")[3:7] == ["12", "inf", "inf", "inf"]
+
+
+def test_missing_config_file_exits_2_with_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command in ("run", "study"):
+        assert run_cli(command, "--config", str(tmp_path / "none.cfg"), "--problem", "inflow_bump",
+                       "--method", "sat", "--out-dir", str(out)) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigurationError" and "none.cfg" in err["message"]
+    assert not out.exists()
+
+
+def test_run_rejects_list_of_n_that_study_accepts(tmp_path, capsys):
+    cfg = tmp_path / "list.cfg"
+    cfg.write_text("problem = inflow_bump\nmethod = sat\nN = 10,20\nt_end = 0.05\n")
+    assert run_cli("run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigurationError"
+    assert not (tmp_path / "run").exists()
+    out = tmp_path / "study"
+    assert run_cli("study", "--config", str(cfg), "--out-dir", str(out)) == 0
+    rows = (out / "errors.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["10", "20", "avg_order"]
+
+
+@pytest.mark.parametrize("flag", [("--method", "bogus"), ("--N", "abc")], ids=["method", "N"])
+def test_usage_errors_print_one_json_line(flag, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("run", "--problem", "inflow_bump", *flag)
+    assert exited.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigurationError" and flag[0] in err["message"]
+
+
+def test_help_is_argparse_usage(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run_cli("run", "--help")
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: rbfadvect run") and captured.err == ""
+    assert "--method {usual,fr,sat}" in captured.out
+
+
+# The documented config keys spelled unlike their RunConfig field; a key's
+# flag is "--" + key with "_" -> "-".
+KEY_SPELLINGS = {"n": "N", "tau_l": "tau", "r0": "R0", "r1": "R1"}
+INT_FIELDS = {"n", "m", "seed", "quad_points", "record_stride"}
+STR_VALUES = {"problem": "acoustic", "method": "fr", "kernel": "quintic"}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_every_field_is_a_config_key_and_a_flag(field, tmp_path):
+    key = KEY_SPELLINGS.get(field, field)
+    text = STR_VALUES.get(field, "7" if field in INT_FIELDS else "0.25")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"problem = inflow_bump\nmethod = sat\n{key} = {text}\n")
+    from_file, _ = assemble_config(build_parser().parse_args(["run", "--config", str(cfg)]))
+    from_flag, _ = assemble_config(build_parser().parse_args(
+        ["run", "--problem", "inflow_bump", "--method", "sat", "--" + key.replace("_", "-"), text]))
+    assert from_file == from_flag
+    value = getattr(from_file, field)
+    assert value != getattr(RunConfig(problem="inflow_bump", method="sat"), field)
+    assert type(value) is (str if field in STR_VALUES else int if field in INT_FIELDS else float)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_SPELLINGS))
+def test_field_spellings_are_unknown_config_keys(key, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = 0.7\n")
+    assert run_cli("run", "--config", str(cfg), "--problem", "acoustic", "--method", "sat",
+                   "--out-dir", str(tmp_path / "out")) == 2
+    assert json.loads(capsys.readouterr().err.strip())["message"] == f"unknown config key {key!r}"
