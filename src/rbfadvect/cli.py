@@ -224,8 +224,7 @@ def cmd_conditioning(args) -> int:
     try:
         for n in n_values:
             nb = build_nodal_basis(equidistant_centers(n), kern, cfg.m)
-            aux = build_nodal_basis(equidistant_centers(n + 2), kern, cfg.m)
-            cf = build_corrections(nb, aux, rule)
+            cf = build_corrections(nb, rule)
             res = verify_corrections(cf, nb, rule)
             cond_rows.append((kern.name, n, cf.cond))
             corr_rows.append((kern.name, n, cf.cond, res.max_left, res.max_right))

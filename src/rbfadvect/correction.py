@@ -1,14 +1,14 @@
 """Boundary correction functions for the flux-reconstruction operator.
 
-c_L and c_R are RBF interpolants on an auxiliary center set of N+2 points
-(equidistant including both boundary points by default).  Each solves an
+c_L and c_R are RBF interpolants on an auxiliary basis of N+2 equidistant
+centers including both boundary points, built here with the primal
+basis's kernel, polynomial degree bound and domain.  Each solves an
 (N+2) x (N+2) linear system A gamma = rhs: two rows pin the boundary
 values c(x_L), c(x_R); the remaining N rows impose the integral conditions
 int psi_k c' dx against the primal cardinal basis.  A is notoriously
 ill-conditioned, so construction records cond(A) and every residual is
 judged against a cond(A)-scaled tolerance instead of being hidden by
-regularization.  An optional truncated-SVD solve exists for
-experimentation and is off by default.
+regularization.
 """
 
 from dataclasses import dataclass
@@ -16,19 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorrectionBuildError
-from .interpolation import NodalBasis
+from .interpolation import NodalBasis, build_nodal_basis, equidistant_centers
 from .linalg import condition_number, lu_factor, solve
-from .quadrature import QuadratureRule, inner_product_matrix
+from .quadrature import QuadratureRule, inner_product_matrix, union_rows
 
 
 @dataclass
 class CorrectionResiduals:
-    """Max defects of the N+2 defining conditions, per correction function."""
+    """Max defects of the N+2 defining conditions, per correction function.
+
+    ``int_c_l_prime``/``int_c_r_prime`` are the integrals of c_L' and c_R'
+    on the grid the integral conditions are checked on: -1 and +1 up to
+    the boundary defects.
+    """
 
     boundary_left: float
     integral_left: float
     boundary_right: float
     integral_right: float
+    int_c_l_prime: float
+    int_c_r_prime: float
 
     @property
     def max_left(self) -> float:
@@ -72,34 +79,16 @@ class CorrectionFunctions:
         return self.aux.psi_deriv_rows(points) @ self.gamma_right
 
 
-def _tsvd_solve(a: np.ndarray, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(a)
-    keep = s > rtol * s[0]
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    proj = u.T @ rhs
-    scaled = inv[:, None] * proj if rhs.ndim > 1 else inv * proj
-    return vt.T @ scaled
+def build_corrections(nb: NodalBasis, rule: QuadratureRule) -> CorrectionFunctions:
+    """Build the auxiliary basis and solve the correction systems for c_L and c_R.
 
-
-def build_corrections(
-    nb: NodalBasis,
-    aux: NodalBasis,
-    rule: QuadratureRule,
-    tsvd_rtol: float | None = None,
-) -> CorrectionFunctions:
-    """Solve the correction systems for c_L and c_R.
-
-    ``aux`` must hold exactly N+2 centers including both boundary points
-    of the primal domain.  Raises CorrectionBuildError (carrying cond(A))
-    when A is singular to working precision.
+    Raises CorrectionBuildError (carrying cond(A)) when A is singular to
+    working precision.
     """
     n = nb.n
     x_l, x_r = nb.domain[0]
-    if aux.n != n + 2:
-        raise ValueError(f"auxiliary basis needs {n + 2} centers, got {aux.n}")
-    aux_pts = aux.centers.points[:, 0]
-    if not (np.isclose(aux_pts[0], x_l) and np.isclose(aux_pts[-1], x_r)):
-        raise ValueError("auxiliary centers must include both boundary points")
+    aux = build_nodal_basis(equidistant_centers(n + 2, x_l, x_r), nb.kernel,
+                            nb.poly.degree_bound, domain=nb.domain)
 
     row_l = aux.psi_rows(np.array([x_l]))[0]
     row_r = aux.psi_rows(np.array([x_r]))[0]
@@ -115,16 +104,13 @@ def build_corrections(
     rhs[2:, 1] = psi_r
 
     cond = condition_number(a)
-    if tsvd_rtol is not None:
-        gammas = _tsvd_solve(a, rhs, tsvd_rtol)
-    else:
-        fact = lu_factor(a, cond)
-        if fact.singular:
-            raise CorrectionBuildError(
-                f"singular correction system: kernel={nb.kernel.name}, N={n}, cond(A)={cond:.3e}",
-                cond=cond,
-            )
-        gammas = solve(fact, rhs)
+    fact = lu_factor(a, cond)
+    if fact.singular:
+        raise CorrectionBuildError(
+            f"singular correction system: kernel={nb.kernel.name}, N={n}, cond(A)={cond:.3e}",
+            cond=cond,
+        )
+    gammas = solve(fact, rhs)
     return CorrectionFunctions(aux, gammas[:, 0], gammas[:, 1], cond)
 
 
@@ -133,18 +119,23 @@ def verify_corrections(
 ) -> CorrectionResiduals:
     """Recompute all N+2 defining conditions of each correction function.
 
-    Stores and returns the max residuals; callers judge them against
+    One evaluation of the union-grid rows gives both the Gram matrix and
+    the integrals of c_L' and c_R'.  Stores and returns the max residuals
+    with those integrals; callers judge the residuals against
     ``cf.tolerance()``.
     """
     x_l, x_r = nb.domain[0]
     psi_l = nb.psi_rows(np.array([x_l]))[0]
     psi_r = nb.psi_rows(np.array([x_r]))[0]
-    gram = inner_product_matrix(nb, cf.aux, rule)
+    w, psi, dpsi = union_rows(nb, cf.aux, rule)
+    gram = psi.T @ (w[:, None] * dpsi)
 
     b_left = max(abs(cf.value_left(x_l) - 1.0), abs(cf.value_left(x_r)))
     i_left = float(np.abs(gram @ cf.gamma_left + psi_l).max())
     b_right = max(abs(cf.value_right(x_l)), abs(cf.value_right(x_r) - 1.0))
     i_right = float(np.abs(gram @ cf.gamma_right - psi_r).max())
 
-    cf.residuals = CorrectionResiduals(b_left, i_left, b_right, i_right)
+    cf.residuals = CorrectionResiduals(b_left, i_left, b_right, i_right,
+                                       float(w @ (dpsi @ cf.gamma_left)),
+                                       float(w @ (dpsi @ cf.gamma_right)))
     return cf.residuals

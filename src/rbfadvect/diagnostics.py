@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionError
 from .interpolation import NodalBasis
 from .operators import BoundaryRecord, boundary_mismatches, integral_of_rhs, numerical_fluxes
-from .quadrature import QuadratureRule, quadrature_grid, quadrature_view
+from .quadrature import QuadratureRule, quadrature_view
 
 
 def discrete_errors(u_num, u_exact) -> tuple[float, float]:
@@ -185,9 +185,10 @@ class SatRateChecker:
     def __init__(self, op, rule: QuadratureRule):
         self.op = op
         nb = op.nb
-        self.points, self.weights = quadrature_grid(nb, rule)
-        self.psi = nb.psi_rows(self.points)
-        self.dpsi = nb.psi_deriv_rows(self.points)
+        view = quadrature_view(nb, rule)
+        self.weights = view.weights
+        self.psi = view.psi if view.psi is not None else nb.psi_rows(view.points)
+        self.dpsi = nb.psi_deriv_rows(view.points)
         self.series: list[tuple[float, float]] = []
 
     def __call__(self, t: float, u: np.ndarray):

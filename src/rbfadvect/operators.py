@@ -30,8 +30,8 @@ import numpy as np
 
 from .correction import CorrectionFunctions, build_corrections, verify_corrections
 from .errors import ConfigurationError, StabilityParameterError
-from .interpolation import NodalBasis, build_nodal_basis, equidistant_centers
-from .quadrature import QuadratureRule, mass_vector, quadrature_grid_1d
+from .interpolation import NodalBasis
+from .quadrature import QuadratureRule, mass_vector
 
 # Characteristic transform of the acoustic system: W [[0, c], [c, 0]] W^T
 # = diag(c, -c), so column 0 carries the +c wave and column 1 the -c wave.
@@ -82,7 +82,8 @@ class BoundaryRecord:
     """Speed, penalties, data and boundary rows psi(x_L), psi(x_R) of a 1D operator.
 
     ``int_c_l_prime``/``int_c_r_prime``: exact integrals of the FR correction
-    derivatives (-1 and +1 up to the cond-scaled defect), NaN for SAT.
+    derivatives (-1 and +1 up to the cond-scaled defect), as
+    ``verify_corrections`` computed them; NaN for SAT.
     """
 
     a: float
@@ -169,8 +170,8 @@ def usual_1d(nb: NodalBasis, a: float, g=None) -> SemidiscreteOperator:
     return SemidiscreteOperator(nb, "usual", abs(a), matrix, forcing, pinned=(i_in, g))
 
 
-def fr_1d(nb: NodalBasis, a: float, g=None, corrections: CorrectionFunctions | None = None,
-          rule: QuadratureRule | None = None) -> SemidiscreteOperator:
+def fr_1d(nb: NodalBasis, a: float, g=None,
+          corrections: CorrectionFunctions | None = None) -> SemidiscreteOperator:
     """FR-RBF: -a D u - c_L' (f_L - a u_L) - c_R' (f_R - a u_R) with upwind fluxes.
 
     Boundary data enters at the left end only, so the flow must run
@@ -188,12 +189,9 @@ def fr_1d(nb: NodalBasis, a: float, g=None, corrections: CorrectionFunctions | N
     row_l, row_r = _boundary_rows(nb)
     c_l_prime = corrections.deriv_left(nb.centers.points)
     matrix = -a * nb.differentiation_matrix() + np.outer(a * c_l_prime, row_l)
-    rule = rule or QuadratureRule()
-    xq, wq = quadrature_grid_1d(nb, rule, extra_breaks=corrections.aux.centers.points[:, 0])
-    pq = xq.reshape(-1, 1)
-    bnd = BoundaryRecord(a, g, row_l, row_r,
-                         int_c_l_prime=float(wq @ corrections.deriv_left(pq)),
-                         int_c_r_prime=float(wq @ corrections.deriv_right(pq)))
+    res = corrections.residuals
+    bnd = BoundaryRecord(a, g, row_l, row_r, int_c_l_prime=res.int_c_l_prime,
+                         int_c_r_prime=res.int_c_r_prime)
     return SemidiscreteOperator(nb, "fr", abs(a), matrix, [(-a * c_l_prime, g)],
                                 boundary=bnd, cond_correction=corrections.cond)
 
@@ -331,15 +329,10 @@ def usual_2d(nb: NodalBasis, a=(1.0, 0.0)) -> SemidiscreteOperator:
     return SemidiscreteOperator(nb, "usual-2d", speed, matrix, pinned=(edge, lambda t: 0.0))
 
 
-def build_fr_operator(nb: NodalBasis, a: float, g=None, rule: QuadratureRule | None = None,
-                      aux: NodalBasis | None = None,
-                      tsvd_rtol: float | None = None) -> SemidiscreteOperator:
+def build_fr_operator(nb: NodalBasis, a: float, g=None,
+                      rule: QuadratureRule | None = None) -> SemidiscreteOperator:
     """Build, verify and wire the correction functions for an FR operator."""
     rule = rule or QuadratureRule()
-    if aux is None:
-        x_l, x_r = nb.domain[0]
-        aux_centers = equidistant_centers(nb.n + 2, x_l, x_r)
-        aux = build_nodal_basis(aux_centers, nb.kernel, nb.poly.degree_bound, domain=nb.domain)
-    cf = build_corrections(nb, aux, rule, tsvd_rtol=tsvd_rtol)
+    cf = build_corrections(nb, rule)
     verify_corrections(cf, nb, rule)
-    return fr_1d(nb, a, g=g, corrections=cf, rule=rule)
+    return fr_1d(nb, a, g=g, corrections=cf)

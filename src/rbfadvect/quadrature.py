@@ -209,15 +209,8 @@ def mass_vector(nb: NodalBasis, rule: QuadratureRule) -> np.ndarray:
     return h
 
 
-def _union_grid(nb: NodalBasis, other: NodalBasis, rule: QuadratureRule):
-    extra = other.centers.points[:, 0]
-    return quadrature_grid_1d(nb, rule, extra_breaks=extra)
-
-
-def inner_product_matrix(
-    nb: NodalBasis, other: NodalBasis, rule: QuadratureRule, extended: bool = True
-) -> np.ndarray:
-    """All <psi_k, tilde-psi_j'> = int psi_k(x) tilde-psi_j'(x) dx (1D), shape (N, N_other).
+def union_rows(nb: NodalBasis, other: NodalBasis, rule: QuadratureRule, extended: bool = True):
+    """Weights w, psi_k rows of ``nb`` and tilde-psi_j' rows of ``other`` on their union grid (1D).
 
     Panel boundaries include every center of both bases.
 
@@ -227,11 +220,15 @@ def inner_product_matrix(
     number is set by the assembly noise floor, which the extended path
     pushes another two orders down.
     """
-    pts, w = _union_grid(nb, other, rule)
+    pts, w = quadrature_grid_1d(nb, rule, extra_breaks=other.centers.points[:, 0])
     if extended:
-        psi = nb.psi_rows(pts)
-        dpsi = other.psi_deriv_rows(pts)
-    else:
-        psi = nb.basis_rows(pts) @ nb.coef
-        dpsi = other.deriv_basis_rows(pts) @ other.coef
+        return w, nb.psi_rows(pts), other.psi_deriv_rows(pts)
+    return w, nb.basis_rows(pts) @ nb.coef, other.deriv_basis_rows(pts) @ other.coef
+
+
+def inner_product_matrix(
+    nb: NodalBasis, other: NodalBasis, rule: QuadratureRule, extended: bool = True
+) -> np.ndarray:
+    """All <psi_k, tilde-psi_j'> = int psi_k(x) tilde-psi_j'(x) dx (1D), shape (N, N_other)."""
+    w, psi, dpsi = union_rows(nb, other, rule, extended)
     return psi.T @ (w[:, None] * dpsi)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,8 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigurationError"
+    assert run_cli("run", "--problem", "varcoeff", "--method", "sat",
+                   "--tau", "-0.4", "--out-dir", str(tmp_path)) == 2
 
     assert run_cli("run", "--problem", "nope", "--method", "sat",
                    "--out-dir", str(tmp_path)) == 2
@@ -37,6 +43,15 @@ def test_validation_exit_codes(tmp_path, capsys):
                    "--out-dir", str(tmp_path)) == 2
     assert run_cli("run", "--problem", "inflow_bump", "--method", "usual",
                    "--kernel", "quintic", "--m", "1", "--out-dir", str(tmp_path)) == 2
+
+
+def test_acoustic_sat_ignores_tau(tmp_path):
+    # sat_acoustic takes its penalties from R0/R1 and never reads tau.
+    args = ("run", "--problem", "acoustic", "--method", "sat", "--N", "10", "--t-end", "0.1")
+    assert run_cli(*args, "--out-dir", str(tmp_path / "plain")) == 0
+    assert run_cli(*args, "--tau", "-0.4", "--out-dir", str(tmp_path / "tau")) == 0
+    for name in ("errors.csv", "energy.csv"):
+        assert (tmp_path / "tau" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 RUN_SAT = ("run", "--problem", "inflow_bump", "--method", "sat", "--N", "10")
@@ -314,3 +329,20 @@ def test_field_spellings_are_unknown_config_keys(key, tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--problem", "acoustic", "--method", "sat",
                    "--out-dir", str(tmp_path / "out")) == 2
     assert json.loads(capsys.readouterr().err.strip())["message"] == f"unknown config key {key!r}"
+
+
+def test_1d_study_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # FR and 2D are left out: the rank-deficient FR correction system makes
+    # FR outputs depend on the thread count, and 2D outputs move by ~2e-10.
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "rbfadvect.cli", "study", "--problem", "inflow_bump",
+                        "--method", "sat", "--kernel", "quintic", "--N", "10", "--N", "20",
+                        "--N", "40", "--t-end", "0.5", "--out-dir", str(out)],
+                       env=env, check=True, timeout=300)
+        outputs.append([(out / name).read_bytes() for name in ("errors.csv", "energy.csv")])
+    assert outputs[0] == outputs[1]

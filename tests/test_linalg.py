@@ -104,9 +104,6 @@ def test_correction_matrix_conditioning_is_pathological(cubic_basis_10, rule):
     # condition number sits at the rounding floor, far above 1e9.  The
     # acceptance suite compares against the tabulated magnitudes.
     from rbfadvect.correction import build_corrections
-    from rbfadvect.interpolation import build_nodal_basis, equidistant_centers
-    from rbfadvect.kernels import cubic
 
-    aux = build_nodal_basis(equidistant_centers(12), cubic(), 2)
-    cf = build_corrections(cubic_basis_10, aux, rule)
+    cf = build_corrections(cubic_basis_10, rule)
     assert cf.cond > 1e9

@@ -6,7 +6,7 @@ import pytest
 from rbfadvect.correction import build_corrections, verify_corrections
 from rbfadvect.diagnostics import SatRateChecker, discrete_errors
 from rbfadvect.errors import ConfigurationError, StabilityParameterError
-from rbfadvect.interpolation import build_nodal_basis, equidistant_centers, grid_centers
+from rbfadvect.interpolation import NodalBasis, build_nodal_basis, equidistant_centers, grid_centers
 from rbfadvect.kernels import cubic, quintic
 from rbfadvect.operators import (
     CHARACTERISTICS,
@@ -24,7 +24,7 @@ from rbfadvect.operators import (
     usual_2d,
 )
 from rbfadvect.problems import inflow_bump
-from rbfadvect.quadrature import mass_vector
+from rbfadvect.quadrature import QuadratureRule, mass_vector, quadrature_grid_1d
 from rbfadvect.timestep import TimeIntegration, integrate
 
 
@@ -75,8 +75,7 @@ class TestUsual1D:
 
 class TestFluxReconstruction:
     def test_requires_verified_corrections(self, cubic_basis_10, rule):
-        aux = build_nodal_basis(equidistant_centers(12), cubic(), 2)
-        cf = build_corrections(cubic_basis_10, aux, rule)  # not verified
+        cf = build_corrections(cubic_basis_10, rule)  # not verified
         with pytest.raises(ConfigurationError):
             fr_1d(cubic_basis_10, 1.0, g=lambda t: 0.0, corrections=cf)
 
@@ -104,14 +103,29 @@ class TestFluxReconstruction:
                 f_l, f_r, _, _ = numerical_fluxes(op.boundary, u, 0.0)
                 assert abs(integral_of_rhs(op.boundary, u, 0.0) - (f_l - f_r)) <= tol
 
-    def test_bump_error_with_minimum_norm_corrections(self, cubic_basis_40, rule):
-        # The LU quasi-solution loads the construction's exact null vector
-        # arbitrarily; the tabulated FR accuracy corresponds to the
-        # minimum-norm correction functions.
-        op = build_fr_operator(cubic_basis_40, 1.0, g=inflow_bump().boundary,
-                               rule=rule, tsvd_rtol=1e-10)
-        l1, _ = _run_bump(op, 40)
-        assert 1.6e-2 / 2 <= l1 <= 1.6e-2 * 2
+    @pytest.mark.parametrize("kern,m", [(cubic(), 2), (quintic(), 3)], ids=["cubic", "quintic"])
+    def test_one_union_grid_derivative_evaluation(self, kern, m, rule, monkeypatch):
+        # verify_corrections evaluates the auxiliary psi' rows on the union
+        # grid once, and fr_1d takes the integrals of c_L' and c_R' from it.
+        nb = build_nodal_basis(equidistant_centers(20), kern, m)
+        union, _ = quadrature_grid_1d(nb, rule, extra_breaks=np.linspace(0.0, 1.0, 22))
+        sizes = []
+        original = NodalBasis.psi_deriv_rows
+
+        def counted(self, points, axis=0):
+            sizes.append(len(points))
+            return original(self, points, axis)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NodalBasis, "psi_deriv_rows", counted)
+            op = build_fr_operator(nb, 1.0, g=lambda t: 0.0, rule=rule)
+        assert sizes.count(union.size) == 1
+        # Oracle: c_L' and c_R' re-integrated with doubled panels.
+        cf = build_corrections(nb, rule)
+        fine = QuadratureRule(rule.points_per_panel, rule.panels * 2)
+        xq, wq = quadrature_grid_1d(nb, fine, extra_breaks=cf.aux.centers.points[:, 0])
+        assert abs(op.boundary.int_c_l_prime - wq @ cf.deriv_left(xq)) <= 1e-10
+        assert abs(op.boundary.int_c_r_prime - wq @ cf.deriv_right(xq)) <= 1e-10
 
 
 class TestSat1D:
@@ -353,10 +367,9 @@ def _formula_usual_1d(nb, rule, g):
 
 
 def _formula_fr(nb, rule, g):
-    aux = build_nodal_basis(equidistant_centers(nb.n + 2), nb.kernel, nb.poly.degree_bound)
-    cf = build_corrections(nb, aux, rule)
+    cf = build_corrections(nb, rule)
     verify_corrections(cf, nb, rule)
-    op = fr_1d(nb, 1.3, g=g, corrections=cf, rule=rule)
+    op = fr_1d(nb, 1.3, g=g, corrections=cf)
     c_l, c_r = cf.deriv_left(nb.centers.points), cf.deriv_right(nb.centers.points)
     row_l, row_r = nb.psi_rows(np.array([[0.0], [1.0]]))
 
